@@ -10,7 +10,6 @@ object JobSession {
   def get(appName: String): SparkSession = {
     val builder = SparkSession.builder
       .appName(appName)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
     val withMaster =
       if (sys.props.contains("spark.master") || sys.env.contains("MASTER")) builder
       else builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

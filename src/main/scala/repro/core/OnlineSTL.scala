@@ -5,11 +5,11 @@ import scala.collection.mutable.ArrayBuffer
 /** OnlineSTL (paper §5): online additive seasonal-trend decomposition.
   *
   * Lifecycle: feed points with [[push]]. The first `4m` points (m = max
-  * seasonality) are buffered; when the 4m-th arrives, the one-time
-  * initialization (§5.2, symmetric tri-cube smoothing + cyclic exponential
-  * smoothing) runs and the decompositions of all buffered points are emitted
-  * at once. Every later point is decomposed online (Algorithm 1) in
-  * O(Σ_p m_p) time and emitted immediately.
+  * seasonality) are held in the window `A`; when the 4m-th arrives, the
+  * one-time initialization (§5.2, symmetric tri-cube smoothing + cyclic
+  * exponential smoothing) runs on `A` and the decompositions of all 4m
+  * warm-up points are emitted at once. Every later point is decomposed
+  * online (Algorithm 1) in O(Σ_p m_p) time and emitted immediately.
   *
   * State is O(4m) per series — sliding window `A` (4m), per-period seasonal
   * series `K_p` (4m), phase estimates `E_{p,S}`/`E_{p,T}` (m_p), and the
@@ -40,7 +40,6 @@ final class OnlineSTL(val periods: Seq[Int], val gamma: Double = SeasonalityFilt
   private val D = new CircularBuffer(m)                           // deseasonalized last m
   private var seen: Long = 0L                                     // points consumed
   private var ready: Boolean = false                              // init done?
-  private var warmup: ArrayBuffer[Double] = new ArrayBuffer[Double](4 * m)
 
   /** True once the init phase has run and updates are online. */
   def isReady: Boolean = ready
@@ -54,13 +53,9 @@ final class OnlineSTL(val periods: Seq[Int], val gamma: Double = SeasonalityFilt
   def push(x: Double): Seq[DecompPoint] = {
     if (ready) Seq(update(x))
     else {
-      warmup += x
+      A.push(x)
       seen += 1
-      if (warmup.length == 4 * m) {
-        val out = initialize(warmup.toArray)
-        warmup = null // free; never used again
-        out
-      } else Seq.empty
+      if (A.isFull) initialize(A.toArray) else Seq.empty
     }
   }
 
@@ -79,7 +74,6 @@ final class OnlineSTL(val periods: Seq[Int], val gamma: Double = SeasonalityFilt
   private def initialize(a0: Array[Double]): Seq[DecompPoint] = {
     val n = a0.length            // == 4m
     val base = seen - n          // global 0-based index of the window start
-    A.pushAll(a0)
     var w = a0.clone()
     val seasonalSeries = new Array[Array[Double]](k)
     var pi = 0

@@ -20,21 +20,6 @@ object TrendFilter {
     if (mass <= 0.0) buf.last else dot / mass
   }
 
-  /** `TF(k_λ, ·)` on a plain array ending at index `end` (inclusive). */
-  def nonSymmetricAt(xs: Array[Double], end: Int, lambda: Int): Double = {
-    val k = TricubeKernel.weights(lambda)
-    var dot = 0.0; var mass = 0.0
-    val w = math.min(lambda, end + 1)
-    var j = 0
-    while (j < w) {
-      val wk = k(lambda - 1 - j)
-      dot += wk * xs(end - j)
-      mass += wk
-      j += 1
-    }
-    if (mass <= 0.0) xs(end) else dot / mass
-  }
-
   /** Symmetric tri-cube smoothing of the whole series with window `window`
     * (total span; half-width h = max(1, window/2)). Edge windows are
     * truncated and renormalized. Used in the init phase only.

@@ -29,12 +29,4 @@ object TricubeKernel {
       out
     })
   }
-
-  /** L1 mass of the kernel (all weights are nonnegative). */
-  def mass(lambda: Int): Double = {
-    val w = weights(lambda)
-    var s = 0.0; var i = 0
-    while (i < w.length) { s += w(i); i += 1 }
-    s
-  }
 }

@@ -1,6 +1,7 @@
 package repro.streaming
 
-import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.OnlineSTL
 import repro.data.TimeSeriesGen
@@ -42,23 +43,37 @@ object OnlineSTLStreaming {
     }
   }
 
-  /** Structured Streaming decomposition: keyed state = serialized OnlineSTL
-    * (the analogue of Flink managed keyed state; serialization per
-    * micro-batch mirrors Flink state backends).
+  /** Structured Streaming decomposition: keyed state = the java-serialized
+    * OnlineSTL (the analogue of Flink managed keyed state; serialization per
+    * micro-batch mirrors Flink state backends). The state is kept as exactly
+    * the serialized bytes: `Encoders.javaSerialization` would store the
+    * serializer's whole output buffer, up to twice the state's size.
     */
   def decomposeStream(events: Dataset[MetricEvent], periods: Seq[Int]): Dataset[DecompRow] = {
     val spark = events.sparkSession
     import spark.implicits._
-    implicit val stlEnc: Encoder[OnlineSTL] = Encoders.javaSerialization[OnlineSTL]
     events
       .groupByKey(_.seriesId)
       .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
-        (key: Long, it: Iterator[MetricEvent], state: GroupState[OnlineSTL]) =>
-          val stl = state.getOption.getOrElse(new OnlineSTL(periods))
+        (key: Long, it: Iterator[MetricEvent], state: GroupState[Array[Byte]]) =>
+          val stl = state.getOption.map(fromBytes).getOrElse(new OnlineSTL(periods))
           val out = processKey(key, it, stl).toVector
-          state.update(stl)
+          state.update(toBytes(stl))
           out.iterator
       }
+  }
+
+  private def toBytes(stl: OnlineSTL): Array[Byte] = {
+    val bos = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bos)
+    out.writeObject(stl)
+    out.close()
+    bos.toByteArray
+  }
+
+  private def fromBytes(bytes: Array[Byte]): OnlineSTL = {
+    val in = new ObjectInputStream(new ByteArrayInputStream(bytes))
+    try in.readObject().asInstanceOf[OnlineSTL] finally in.close()
   }
 
   /** Batch dataflow over a bounded event set — same per-key code path, used

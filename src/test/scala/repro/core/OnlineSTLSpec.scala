@@ -147,22 +147,32 @@ class OnlineSTLSpec extends SparkSpec {
     val s1 = sizeAfter(4 * m + 10)
     val s2 = sizeAfter(4 * m + 5000)
     assert(math.abs(s1 - s2) < 1000, s"state grew with stream length: $s1 vs $s2")
+    // warm-up points live in the 4m window itself, so state does not peak before init
+    val s0 = sizeAfter(4 * m - 1)
+    assert(s0 <= s1, s"warm-up state larger than steady state: $s0 vs $s1")
   }
 
   test("serialized state resumes identically (streaming checkpoint semantics)") {
     val m = 6
     val xs = seasonalSeries(4 * m + 60, m, 0.02, 2.0, 0.3, 5)
-    val stl = new OnlineSTL(Seq(m))
-    xs.take(4 * m + 30).foreach(stl.push)
-    val bos = new java.io.ByteArrayOutputStream()
-    new java.io.ObjectOutputStream(bos).writeObject(stl)
-    val copy = new java.io.ObjectInputStream(
-      new java.io.ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[OnlineSTL]
-    for (i <- 4 * m + 30 until xs.length) {
-      val a = stl.push(xs(i)).head
-      val b = copy.push(xs(i)).head
-      assert(a.trend == b.trend && a.residual == b.residual)
-      assert(a.seasonals.toSeq == b.seasonals.toSeq)
+    // cuts mid warm-up, one point before init, and after init
+    for (cut <- Seq(2 * m, 4 * m - 1, 4 * m + 30)) {
+      val stl = new OnlineSTL(Seq(m))
+      xs.take(cut).foreach(stl.push)
+      val bos = new java.io.ByteArrayOutputStream()
+      new java.io.ObjectOutputStream(bos).writeObject(stl)
+      val copy = new java.io.ObjectInputStream(
+        new java.io.ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[OnlineSTL]
+      for (i <- cut until xs.length) {
+        val a = stl.push(xs(i))
+        val b = copy.push(xs(i))
+        assert(a.size == b.size, s"cut $cut, point $i: ${a.size} vs ${b.size} emitted")
+        for ((p, q) <- a.zip(b)) {
+          assert(p.index == q.index && p.trend == q.trend && p.residual == q.residual,
+            s"cut $cut, point $i: $p vs $q")
+          assert(p.seasonals.toSeq == q.seasonals.toSeq)
+        }
+      }
     }
   }
 

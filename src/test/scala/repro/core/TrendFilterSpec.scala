@@ -48,14 +48,21 @@ class TrendFilterSpec extends SparkSpec {
   }
 
   test("nonSymmetricAt on arrays matches ring-buffer implementation") {
+    // plain-array reference: trailing kernel renormalized over xs(0..end)
+    def onArray(xs: Array[Double], end: Int, lambda: Int): Double = {
+      val k = TricubeKernel.weights(lambda)
+      val js = 0 until math.min(lambda, end + 1)
+      js.map(j => k(lambda - 1 - j) * xs(end - j)).sum / js.map(j => k(lambda - 1 - j)).sum
+    }
     val rng = new Random(3)
     val xs = Array.fill(60)(rng.nextDouble() * 20 - 10)
-    val b = new CircularBuffer(60)
-    xs.foreach(b.push)
     for (lambda <- Seq(3, 10, 31, 60)) {
-      val a = TrendFilter.nonSymmetricAt(xs, xs.length - 1, lambda)
-      val c = TrendFilter.nonSymmetric(b, lambda)
-      assert(math.abs(a - c) < 1e-12, s"lambda=$lambda: $a vs $c")
+      val b = new CircularBuffer(lambda)
+      for (end <- xs.indices) {
+        b.push(xs(end))
+        val (a, c) = (onArray(xs, end, lambda), TrendFilter.nonSymmetric(b, lambda))
+        assert(math.abs(a - c) < 1e-12, s"lambda=$lambda end=$end: $a vs $c")
+      }
     }
   }
 

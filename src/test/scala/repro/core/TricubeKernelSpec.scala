@@ -47,12 +47,6 @@ class TricubeKernelSpec extends SparkSpec {
       assert(math.abs(k(i - 1) - TricubeKernel.W((lambda - i).toDouble / lambda)) < 1e-12)
   }
 
-  test("mass equals the sum of weights") {
-    for (lambda <- Seq(3, 8, 50)) {
-      assert(math.abs(TricubeKernel.mass(lambda) - TricubeKernel.weights(lambda).sum) < 1e-12)
-    }
-  }
-
   test("kernels are cached: repeated calls return the same array instance") {
     assert(TricubeKernel.weights(17) eq TricubeKernel.weights(17))
   }

@@ -2,7 +2,7 @@ package repro.streaming
 
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.OutputMode
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 import repro.core.OnlineSTL
 import repro.data.TimeSeriesGen
 
@@ -115,38 +115,5 @@ class OnlineSTLStreamingSpec extends SparkSpec {
       query.processAllAvailable()
       assert(spark.sql("SELECT count(*) c FROM decomp_warm").first.getLong(0) == 4L * period)
     } finally query.stop()
-  }
-
-  test("Oracle: per-series row counts of the decomposition output (Spark SQL vs DuckDB)") {
-    import spark.implicits._
-    val events = OnlineSTLStreaming.syntheticEvents(spark, 4, pointsPerSeries, period)
-    val out = OnlineSTLStreaming.decomposeBatch(events, Seq(period))
-      .select($"seriesId", $"ts", $"value", $"trend", $"residual")
-    out.cache()
-    try {
-      val agg = out.groupBy($"seriesId").count()
-        .select($"seriesId".cast("string") as "seriesid", $"count" as "cnt")
-      Oracle.assertEquivalent(agg,
-        "SELECT seriesId AS seriesid, count(*) AS cnt FROM decomp GROUP BY seriesId",
-        "decomp" -> out)
-    } finally out.unpersist()
-  }
-
-  test("Oracle: max absolute residual per series (Spark SQL vs DuckDB)") {
-    import spark.implicits._
-    import org.apache.spark.sql.functions._
-    val events = OnlineSTLStreaming.syntheticEvents(spark, 3, pointsPerSeries, period)
-    val out = OnlineSTLStreaming.decomposeBatch(events, Seq(period))
-      .select($"seriesId", round($"residual", 6) as "residual")
-    out.cache()
-    try {
-      val agg = out.groupBy($"seriesId")
-        .agg(max(abs($"residual")) as "mar")
-        .select($"seriesId".cast("string") as "seriesid", $"mar")
-      Oracle.assertEquivalent(agg,
-        "SELECT seriesId AS seriesid, max(abs(CAST(residual AS DOUBLE))) AS mar " +
-          "FROM decomp GROUP BY seriesId",
-        "decomp" -> out)
-    } finally out.unpersist()
   }
 }
