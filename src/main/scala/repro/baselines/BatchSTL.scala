@@ -11,12 +11,12 @@ import repro.core.Decomposition
   * (fit every jump-th point, interpolate) which is why real STL stays ~100x
   * faster than the optimization-based baselines. Robustness iterations are
   * omitted (n_o = 0), matching the non-robust configuration.
-  *
-  * @param ns    seasonal loess span in *cycles* (default 7, the STL default)
-  * @param inner number of inner-loop iterations
   */
-final class BatchSTL(ns: Int = 7, inner: Int = 2) extends Decomposer {
+final class BatchSTL extends Decomposer {
   override def name: String = "stl"
+
+  private final val Ns = 7    // seasonal loess span in *cycles* (the STL default)
+  private final val Inner = 2 // inner-loop iterations
 
   override def decompose(xs: Array[Double], periods: Seq[Int]): Decomposition = {
     require(periods.size == 1, s"classical STL is single-seasonality; use MSTL for $periods")
@@ -31,11 +31,11 @@ final class BatchSTL(ns: Int = 7, inner: Int = 2) extends Decomposer {
     val n = xs.length
     require(n >= 2 * m, s"series of $n too short for period $m")
     val nl = nextOdd(m)                                   // low-pass span
-    val nt = nextOdd(math.ceil(1.5 * m / (1.0 - 1.5 / ns)).toInt) // trend span
+    val nt = nextOdd(math.ceil(1.5 * m / (1.0 - 1.5 / Ns)).toInt) // trend span
     var trend = new Array[Double](n)
     var seasonal = new Array[Double](n)
     var it = 0
-    while (it < inner) {
+    while (it < Inner) {
       // 1. detrend
       val detrended = Array.tabulate(n)(i => xs(i) - trend(i))
       // 2. cycle-subseries smoothing, extended one period each side -> length n + 2m
@@ -62,7 +62,7 @@ final class BatchSTL(ns: Int = 7, inner: Int = 2) extends Decomposer {
     while (phase < m) {
       val idxs = phase.until(n, m).toArray
       val sub = idxs.map(d)
-      val sm = Loess.smooth(sub, ns, degree = 1)
+      val sm = Loess.smooth(sub, Ns, degree = 1)
       // body
       var j = 0
       while (j < idxs.length) { out(idxs(j) + m) = sm(j); j += 1 }

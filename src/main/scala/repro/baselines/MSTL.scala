@@ -8,10 +8,11 @@ import repro.core.Decomposition
   * STL for a single period, so the experiment harness uses this class for the
   * "stl" column on multi-seasonal datasets too.
   */
-final class MSTL(ns: Int = 7, inner: Int = 2, rounds: Int = 2) extends Decomposer {
+final class MSTL extends Decomposer {
   override def name: String = "stl"
 
-  private val stl = new BatchSTL(ns, inner)
+  private final val Rounds = 2 // passes over all periods
+  private val stl = new BatchSTL
 
   override def decompose(xs: Array[Double], periods: Seq[Int]): Decomposition = {
     val ms = periods.sorted
@@ -19,7 +20,7 @@ final class MSTL(ns: Int = 7, inner: Int = 2, rounds: Int = 2) extends Decompose
     val seasonals = ms.map(_ => new Array[Double](n)).toArray
     var trend = new Array[Double](n)
     var round = 0
-    while (round < rounds) {
+    while (round < Rounds) {
       var pi = 0
       while (pi < ms.length) {
         // remove all *other* seasonal components, then re-extract this one.

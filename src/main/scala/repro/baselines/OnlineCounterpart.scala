@@ -5,12 +5,14 @@ import scala.collection.mutable.ArrayBuffer
 
 /** Generic online counterpart of a batch algorithm (paper §7.1): for each
   * arriving point, re-run the batch decomposition on a sliding window of the
-  * last `windowFactor · max(periods)` points and emit the decomposition of
-  * the newest point. Deliberately expensive — "the natural extension of any
-  * batch algorithm to online".
+  * last `4 · max(periods)` points and emit the decomposition of the newest
+  * point. Deliberately expensive — "the natural extension of any batch
+  * algorithm to online".
   */
-final class OnlineCounterpart(batch: Decomposer, windowFactor: Int = 4) extends Serializable {
+final class OnlineCounterpart(batch: Decomposer) extends Serializable {
   def name: String = s"Online ${batch.name}"
+
+  private final val WindowFactor = 4 // window = WindowFactor · max(periods)
 
   /** Minimum points before the first emission (2 periods of history). */
   def minPoints(periods: Seq[Int]): Int = 2 * periods.max
@@ -22,7 +24,7 @@ final class OnlineCounterpart(batch: Decomposer, windowFactor: Int = 4) extends 
   def decomposeAll(xs: Array[Double], periods: Seq[Int]): Decomposition = {
     val n = xs.length
     val m = periods.max
-    val window = windowFactor * m
+    val window = WindowFactor * m
     val warm = math.min(math.max(minPoints(periods), window), n)
     val pts = new ArrayBuffer[DecompPoint](n)
     // back-fill the warm-up prefix from one batch run on it
@@ -48,7 +50,7 @@ final class OnlineCounterpart(batch: Decomposer, windowFactor: Int = 4) extends 
     */
   def secondsPerPoint(xs: Array[Double], periods: Seq[Int], steps: Int): Double = {
     val n = xs.length
-    val window = windowFactor * periods.max
+    val window = WindowFactor * periods.max
     require(n > window + steps, s"need > ${window + steps} points, got $n")
     val t0 = System.nanoTime()
     var t = n - steps

@@ -15,17 +15,16 @@ import repro.linalg.CG
   * components extracted sequentially per period on the progressively
   * deseasonalized series.
   */
-final class RobustSTL(
-    denoiseH: Int = 3,
-    lambda1: Double = 20.0,
-    lambda2: Double = 200.0,
-    irlsIters: Int = 8,
-    cgIters: Int = 60,
-    seasonalK: Int = 2,
-    seasonalH: Int = 2,
-    multiSeasonal: Boolean = false) extends Decomposer {
-
+final class RobustSTL(multiSeasonal: Boolean = false) extends Decomposer {
   override def name: String = if (multiSeasonal) "frobustSTL" else "RobustSTL"
+
+  private final val DenoiseH = 3      // bilateral filter half-width
+  private final val Lambda1 = 20.0    // ℓ1 weight on ΔT
+  private final val Lambda2 = 200.0   // ℓ1 weight on Δ²T
+  private final val IrlsIters = 8
+  private final val CgIters = 60      // CG iterations per IRLS step
+  private final val SeasonalK = 2     // neighbouring periods each side
+  private final val SeasonalH = 2     // phase offsets each side
 
   override def decompose(xs: Array[Double], periods: Seq[Int]): Decomposition = {
     if (!multiSeasonal)
@@ -61,15 +60,15 @@ final class RobustSTL(
   /** Bilateral filter: Gaussian in both time distance and value distance. */
   private[baselines] def bilateralDenoise(xs: Array[Double]): Array[Double] = {
     val n = xs.length
-    val sigmaT = math.max(1.0, denoiseH / 2.0)
+    val sigmaT = math.max(1.0, DenoiseH / 2.0)
     val diffs = Array.tabulate(math.max(n - 1, 1))(i => if (n > 1) xs(i + 1) - xs(i) else 0.0)
     val dMean = diffs.sum / diffs.length
     val sigmaV = math.max(1e-9,
       math.sqrt(diffs.map(d => (d - dMean) * (d - dMean)).sum / diffs.length))
     Array.tabulate(n) { t =>
       var sw = 0.0; var sv = 0.0
-      var j = math.max(0, t - denoiseH)
-      val hi = math.min(n - 1, t + denoiseH)
+      var j = math.max(0, t - DenoiseH)
+      val hi = math.min(n - 1, t + DenoiseH)
       while (j <= hi) {
         val dt = (j - t).toDouble
         val dv = xs(j) - xs(t)
@@ -105,7 +104,7 @@ final class RobustSTL(
     val delta = 0.05 * spread
     var t: Array[Double] = null // null = first iteration, unit weights (L2 warm start)
     var it = 0
-    while (it < irlsIters) {
+    while (it < IrlsIters) {
       val cur = t
       val wData = Array.tabulate(n)(i =>
         if (cur == null) 1.0 else 1.0 / math.max(math.abs(y(i) - cur(i)), delta))
@@ -122,21 +121,21 @@ final class RobustSTL(
         i = 0
         while (i < n - 1) {
           val d = v(i + 1) - v(i)
-          val c = lambda1 * wD1(i) * d
+          val c = Lambda1 * wD1(i) * d
           out(i) -= c; out(i + 1) += c
           i += 1
         }
         i = 0
         while (i < n - 2) {
           val d = v(i) - 2 * v(i + 1) + v(i + 2)
-          val c = lambda2 * wD2(i) * d
+          val c = Lambda2 * wD2(i) * d
           out(i) += c; out(i + 1) -= 2 * c; out(i + 2) += c
           i += 1
         }
         out
       }
       val rhs = Array.tabulate(n)(i => wData(i) * y(i))
-      t = CG.solve(applyA, rhs, maxIter = cgIters, tol = 1e-8, x0 = Option(cur))
+      t = CG.solve(applyA, rhs, maxIter = CgIters, tol = 1e-8, x0 = Option(cur))
       it += 1
     }
     t
@@ -159,10 +158,10 @@ final class RobustSTL(
     }
     val out = Array.tabulate(n) { t =>
       var sw = 0.0; var sv = 0.0
-      var j = -seasonalK
-      while (j <= seasonalK) {
-        var h = -seasonalH
-        while (h <= seasonalH) {
+      var j = -SeasonalK
+      while (j <= SeasonalK) {
+        var h = -SeasonalH
+        while (h <= SeasonalH) {
           val tp = t + j * m + h
           if (tp >= 0 && tp < n) {
             val dv = d(tp) - d(t)

@@ -18,9 +18,12 @@ import repro.linalg.{CG, Mat, QR}
   * Simplification vs. full STR: seasonality is static per phase (no seasonal
   * drift term) and robust ℓ1 mode is omitted.
   */
-final class STR(lambdaTrend: Double = 2000.0, lambdaSeasonal: Double = 2.0,
-                muSumZero: Double = 1000.0, denseLimit: Int = 300) extends Decomposer {
+final class STR(denseLimit: Int = 300) extends Decomposer {
   override def name: String = "STR"
+
+  private final val LambdaTrend = 2000.0    // λ_T
+  private final val LambdaSeasonal = 2.0    // λ_S
+  private final val MuSumZero = 1000.0      // μ
 
   override def decompose(xs: Array[Double], periods: Seq[Int]): Decomposition = {
     val n = xs.length
@@ -71,15 +74,15 @@ final class STR(lambdaTrend: Double = 2000.0, lambdaSeasonal: Double = 2.0,
       row += 1; t += 1
     }
     // trend smoothness rows
-    val sqT = math.sqrt(lambdaTrend)
+    val sqT = math.sqrt(LambdaTrend)
     t = 0
     while (t < n - 2) {
       a(row, t) = sqT; a(row, t + 1) = -2 * sqT; a(row, t + 2) = sqT
       row += 1; t += 1
     }
     // seasonal cyclic-smoothness and sum-zero rows
-    val sqS = math.sqrt(lambdaSeasonal)
-    val sqMu = math.sqrt(muSumZero)
+    val sqS = math.sqrt(LambdaSeasonal)
+    val sqMu = math.sqrt(MuSumZero)
     var pi = 0
     while (pi < ms.length) {
       val m = ms(pi); val off = seasOffset(n, ms, pi)
@@ -121,9 +124,9 @@ final class STR(lambdaTrend: Double = 2000.0, lambdaSeasonal: Double = 2.0,
       t = 0
       while (t < n - 2) {
         val d = v(t) - 2 * v(t + 1) + v(t + 2)
-        y(t) += lambdaTrend * d
-        y(t + 1) -= 2 * lambdaTrend * d
-        y(t + 2) += lambdaTrend * d
+        y(t) += LambdaTrend * d
+        y(t + 1) -= 2 * LambdaTrend * d
+        y(t + 2) += LambdaTrend * d
         t += 1
       }
       // seasonal cyclic Δ² and sum-zero terms
@@ -133,16 +136,16 @@ final class STR(lambdaTrend: Double = 2000.0, lambdaSeasonal: Double = 2.0,
         var r = 0
         while (r < m) {
           val d = v(off + r) - 2 * v(off + (r + 1) % m) + v(off + (r + 2) % m)
-          y(off + r) += lambdaSeasonal * d
-          y(off + (r + 1) % m) -= 2 * lambdaSeasonal * d
-          y(off + (r + 2) % m) += lambdaSeasonal * d
+          y(off + r) += LambdaSeasonal * d
+          y(off + (r + 1) % m) -= 2 * LambdaSeasonal * d
+          y(off + (r + 2) % m) += LambdaSeasonal * d
           r += 1
         }
         var s = 0.0
         r = 0
         while (r < m) { s += v(off + r); r += 1 }
         r = 0
-        while (r < m) { y(off + r) += muSumZero * s; r += 1 }
+        while (r < m) { y(off + r) += MuSumZero * s; r += 1 }
         pi += 1
       }
       y

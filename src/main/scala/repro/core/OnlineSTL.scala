@@ -12,37 +12,39 @@ import scala.collection.mutable.ArrayBuffer
   * online (Algorithm 1) in O(Σ_p m_p) time and emitted immediately.
   *
   * State is O(4m) per series — sliding window `A` (4m), per-period seasonal
-  * series `K_p` (4m), phase estimates `E_{p,S}`/`E_{p,T}` (m_p), and the
-  * deseasonalized window `D` (m) — which is what makes the algorithm usable
-  * as keyed streaming state. The class is Serializable for exactly that use
+  * series `K_p` (3m_p, the span Algorithm 1 line 11 reads), phase estimates
+  * `E_{p,S}`/`E_{p,T}` (m_p each), and the deseasonalized window `D` (m):
+  * 4m + 5·Σm_p + m doubles — which is what makes the algorithm usable as
+  * keyed streaming state. The class is Serializable for exactly that use
   * (see `repro.streaming`).
   *
   * @param periods user-specified seasonality periods m_p (e.g. Seq(7, 28))
   * @param gamma   seasonality-filter smoothing factor (paper fixes 0.7)
   */
-final class OnlineSTL(val periods: Seq[Int], val gamma: Double = SeasonalityFilter.DefaultGamma)
+final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.DefaultGamma)
     extends Serializable {
-  require(periods.nonEmpty, "at least one seasonality period is required")
-  require(periods.forall(_ >= 2), s"periods must be >= 2, got $periods")
-  require(periods.distinct.size == periods.size, s"periods must be distinct, got $periods")
+  // The checks read `ps`, not `periods`: a require message closing over a
+  // constructor parameter makes scalac keep it as a (serialized) field.
+  private val ps = periods.toArray
+  require(ps.nonEmpty, "at least one seasonality period is required")
+  require(ps.forall(_ >= 2), s"periods must be >= 2, got ${ps.mkString(", ")}")
+  require(ps.distinct.length == ps.length, s"periods must be distinct, got ${ps.mkString(", ")}")
   require(gamma > 0.0 && gamma <= 1.0, s"gamma must be in (0,1], got $gamma")
 
   /** Max seasonality m (paper §5.1 item 3). */
-  val m: Int = periods.max
-  private val k = periods.length
-  private val ps = periods.toArray
+  val m: Int = ps.max
+  private val k = ps.length
 
   // --- state (§5.1) -------------------------------------------------------
   private val A = new CircularBuffer(4 * m)                       // latest 4m raw points
-  private val K = Array.fill(k)(new CircularBuffer(4 * m))        // seasonal series per period
+  private val K = ps.map(p => new CircularBuffer(3 * p))          // seasonal series per period
   private val ES = ps.map(p => new Array[Double](p))              // E_{p,S}
   private val ET = ps.map(p => new Array[Double](p))              // E_{p,T}
   private val D = new CircularBuffer(m)                           // deseasonalized last m
   private var seen: Long = 0L                                     // points consumed
-  private var ready: Boolean = false                              // init done?
 
   /** True once the init phase has run and updates are online. */
-  def isReady: Boolean = ready
+  def isReady: Boolean = A.isFull
 
   /** Points consumed so far. */
   def pointsSeen: Long = seen
@@ -51,7 +53,7 @@ final class OnlineSTL(val periods: Seq[Int], val gamma: Double = SeasonalityFilt
     * warming up, the whole 4m-point backlog on the init step, one point after).
     */
   def push(x: Double): Seq[DecompPoint] = {
-    if (ready) Seq(update(x))
+    if (A.isFull) Seq(update(x))
     else {
       A.push(x)
       seen += 1
@@ -105,7 +107,6 @@ final class OnlineSTL(val periods: Seq[Int], val gamma: Double = SeasonalityFilt
     // symmetric window-m smooth of the deseasonalized series (the batch
     // analogue of Algorithm 1's final TF(k_m, D)).
     val finalTrend = TrendFilter.symmetric(w, m)
-    ready = true
     (0 until n).map { i =>
       val seas = Array.tabulate(k)(pi => seasonalSeries(pi)(i))
       var ssum = 0.0; var j = 0

@@ -1,6 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
+import repro.core.OnlineSTL
+import repro.data.TimeSeriesGen
 import repro.streaming.OnlineSTLStreaming
 
 /** Table 2 — distributed-dataflow performance of OnlineSTL vs seasonality
@@ -9,14 +11,16 @@ import repro.streaming.OnlineSTLStreaming
   * heap, and total events/s. Our substrate is the Spark `flatMapGroups`
   * dataflow on local[*]; series/point counts are scaled so each row finishes
   * in under ~1 minute while still exercising full init + online phases per
-  * key (DESIGN.md substitution 2).
+  * key (DESIGN.md substitution 2). Memory is reported as `stateBytes`, the
+  * serialized state one key holds; `heapUsedGB` is a secondary figure
+  * (heap in use without a GC, so it counts garbage too).
   */
 object Table2 {
 
   final case class Row(seasonality: Int, nSeries: Int, pointsPerSeries: Int,
                        totalPoints: Long, elapsedSec: Double,
                        throughputPerCore: Double, totalEventsPerSec: Double,
-                       heapUsedGB: Double)
+                       stateBytes: Int, heapUsedGB: Double)
 
   /** Paper Table 2 for EXPERIMENTS.md diffing: (throughput/slot, heap GB, total/s). */
   val paper: Map[Int, (Double, Double, Double)] = Map(
@@ -61,18 +65,30 @@ object Table2 {
         require(outCount == total, s"expected $total decomposed rows, got $outCount")
         val rt = Runtime.getRuntime
         val heapGB = (rt.totalMemory() - rt.freeMemory()) / 1e9
-        Row(m, nSeries, pts, total, sec, total / sec / cores, total / sec, heapGB)
+        Row(m, nSeries, pts, total, sec, total / sec / cores, total / sec,
+            keyStateBytes(m, pts), heapGB)
       } finally events.unpersist()
     }
   }
 
+  /** Serialized bytes of series 0's OnlineSTL after all its points: the
+    * state the streaming deployment keeps per key.
+    */
+  private def keyStateBytes(m: Int, points: Int): Int = {
+    val stl = new OnlineSTL(Seq(m))
+    (0 until points).foreach(t => stl.push(TimeSeriesGen.metricPoint(0L, t.toLong, m)))
+    OnlineSTLStreaming.toBytes(stl).length
+  }
+
   def format(rows: Seq[Row]): String = {
     val header = f"${"Seasonality"}%11s ${"series"}%7s ${"pts/series"}%10s ${"elapsed_s"}%10s " +
-      f"${"thpt/core"}%12s ${"total_ev/s"}%12s ${"heap_GB"}%8s ${"paper thpt/slot"}%15s"
+      f"${"thpt/core"}%12s ${"total_ev/s"}%12s ${"state_B/key"}%11s ${"heap_GB"}%8s " +
+      f"${"paper thpt/slot"}%15s"
     val body = rows.map { r =>
       val p = paper.get(r.seasonality).map(t => f"${t._1}%.0f").getOrElse("-")
       f"${r.seasonality}%11d ${r.nSeries}%7d ${r.pointsPerSeries}%10d ${r.elapsedSec}%10.2f " +
-        f"${r.throughputPerCore}%12.0f ${r.totalEventsPerSec}%12.0f ${r.heapUsedGB}%8.2f $p%15s"
+        f"${r.throughputPerCore}%12.0f ${r.totalEventsPerSec}%12.0f ${r.stateBytes}%11d " +
+        f"${r.heapUsedGB}%8.2f $p%15s"
     }
     (header +: body).mkString("\n")
   }

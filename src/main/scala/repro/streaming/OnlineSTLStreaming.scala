@@ -63,7 +63,7 @@ object OnlineSTLStreaming {
       }
   }
 
-  private def toBytes(stl: OnlineSTL): Array[Byte] = {
+  private[repro] def toBytes(stl: OnlineSTL): Array[Byte] = {
     val bos = new ByteArrayOutputStream()
     val out = new ObjectOutputStream(bos)
     out.writeObject(stl)

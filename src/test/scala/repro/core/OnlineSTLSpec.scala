@@ -135,29 +135,36 @@ class OnlineSTLSpec extends SparkSpec {
   }
 
   test("state space is O(4m): serialized size independent of points seen") {
-    val m = 20
-    def sizeAfter(points: Int): Int = {
-      val stl = new OnlineSTL(Seq(m))
-      val xs = seasonalSeries(points, m, 0.01, 1.0, 0.1, 4)
+    def sizeAfter(periods: Seq[Int], points: Int): Int = {
+      val stl = new OnlineSTL(periods)
+      val xs = seasonalSeries(points, periods.max, 0.01, 1.0, 0.1, 4)
       xs.foreach(stl.push)
       val bos = new java.io.ByteArrayOutputStream()
       new java.io.ObjectOutputStream(bos).writeObject(stl)
       bos.size()
     }
-    val s1 = sizeAfter(4 * m + 10)
-    val s2 = sizeAfter(4 * m + 5000)
+    val m = 20
+    val s1 = sizeAfter(Seq(m), 4 * m + 10)
+    val s2 = sizeAfter(Seq(m), 4 * m + 5000)
     assert(math.abs(s1 - s2) < 1000, s"state grew with stream length: $s1 vs $s2")
     // warm-up points live in the 4m window itself, so state does not peak before init
-    val s0 = sizeAfter(4 * m - 1)
+    val s0 = sizeAfter(Seq(m), 4 * m - 1)
     assert(s0 <= s1, s"warm-up state larger than steady state: $s0 vs $s1")
+    // A (4m) + K_p (3m_p) + E_{p,S}, E_{p,T} (m_p each) + D (m) doubles; 1,500 B
+    // covers the class descriptors
+    val ps = Seq(7, 28)
+    val bound = 8 * (4 * ps.max + 5 * ps.sum + ps.max) + 1500
+    val s3 = sizeAfter(ps, 4 * ps.max + 100)
+    assert(s3 <= bound, s"state for periods $ps is $s3 B, above $bound B")
   }
 
   test("serialized state resumes identically (streaming checkpoint semantics)") {
     val m = 6
     val xs = seasonalSeries(4 * m + 60, m, 0.02, 2.0, 0.3, 5)
-    // cuts mid warm-up, one point before init, and after init
-    for (cut <- Seq(2 * m, 4 * m - 1, 4 * m + 30)) {
-      val stl = new OnlineSTL(Seq(m))
+    // cuts mid warm-up, one point before init, and after init; two periods
+    // give rings of different capacities
+    for (periods <- Seq(Seq(m), Seq(3, m)); cut <- Seq(2 * m, 4 * m - 1, 4 * m + 30)) {
+      val stl = new OnlineSTL(periods)
       xs.take(cut).foreach(stl.push)
       val bos = new java.io.ByteArrayOutputStream()
       new java.io.ObjectOutputStream(bos).writeObject(stl)
@@ -166,10 +173,10 @@ class OnlineSTLSpec extends SparkSpec {
       for (i <- cut until xs.length) {
         val a = stl.push(xs(i))
         val b = copy.push(xs(i))
-        assert(a.size == b.size, s"cut $cut, point $i: ${a.size} vs ${b.size} emitted")
+        assert(a.size == b.size, s"periods $periods, cut $cut, point $i: ${a.size} vs ${b.size} emitted")
         for ((p, q) <- a.zip(b)) {
           assert(p.index == q.index && p.trend == q.trend && p.residual == q.residual,
-            s"cut $cut, point $i: $p vs $q")
+            s"periods $periods, cut $cut, point $i: $p vs $q")
           assert(p.seasonals.toSeq == q.seasonals.toSeq)
         }
       }

@@ -25,6 +25,7 @@ class ExpSmokeSpec extends SparkSpec {
     assert(r.totalPoints == 8L * 120)
     assert(r.totalEventsPerSec > 0)
     assert(r.throughputPerCore > 0)
+    assert(r.stateBytes > 0)
     assert(Table2.format(rows).nonEmpty)
   }
 
