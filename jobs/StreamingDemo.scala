@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.OutputMode
 import repro.streaming.{MetricEvent, OnlineSTLStreaming}
@@ -34,7 +33,7 @@ object StreamingDemo {
       t += perBatch
     }
     spark.sql("SELECT * FROM decomp ORDER BY seriesId, ts").show(20, truncate = false)
-    println(s"total decomposed rows: ${spark.sql("SELECT count(*) c FROM decomp").first.getLong(0)}")
+    println(s"total decomposed rows: ${spark.sql("SELECT count(*) c FROM decomp").first().getLong(0)}")
     query.stop(); spark.stop()
   }
 }

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.exp.Table2
 
 /** spark-submit entrypoint for Table 2 (dataflow throughput & memory vs

@@ -22,8 +22,7 @@ final class BatchSTL extends Decomposer {
     require(periods.size == 1, s"classical STL is single-seasonality; use MSTL for $periods")
     val m = periods.head
     val (t, s) = innerLoop(xs, m)
-    val r = Array.tabulate(xs.length)(i => xs(i) - t(i) - s(i))
-    Decomposition(t, Seq(s), r)
+    Decomposition.additive(xs, t, Seq(s))
   }
 
   /** Runs the STL inner loop; returns (trend, seasonal). */

@@ -6,7 +6,7 @@ import repro.core.Decomposition
   * Implementations decompose a whole in-memory series at once; their online
   * counterparts are built generically by [[OnlineCounterpart]].
   */
-trait Decomposer extends Serializable {
+trait Decomposer {
   /** Short name used in tables (e.g. "stl", "SSA"). */
   def name: String
 

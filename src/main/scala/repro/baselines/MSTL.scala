@@ -40,14 +40,8 @@ final class MSTL extends Decomposer {
       }
       round += 1
     }
-    val res = Array.tabulate(n) { i =>
-      var r = xs(i) - trend(i)
-      var qi = 0
-      while (qi < ms.length) { r -= seasonals(qi)(i); qi += 1 }
-      r
-    }
     // report seasonals in the caller's period order
     val byPeriod = ms.zip(seasonals.toSeq).toMap
-    Decomposition(trend, periods.map(byPeriod), res)
+    Decomposition.additive(xs, trend, periods.map(byPeriod))
   }
 }

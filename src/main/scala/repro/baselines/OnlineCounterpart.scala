@@ -9,7 +9,7 @@ import scala.collection.mutable.ArrayBuffer
   * point. Deliberately expensive — "the natural extension of any batch
   * algorithm to online".
   */
-final class OnlineCounterpart(batch: Decomposer) extends Serializable {
+final class OnlineCounterpart(batch: Decomposer) {
   def name: String = s"Online ${batch.name}"
 
   private final val WindowFactor = 4 // window = WindowFactor · max(periods)

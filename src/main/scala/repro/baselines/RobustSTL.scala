@@ -32,7 +32,7 @@ final class RobustSTL(multiSeasonal: Boolean = false) extends Decomposer {
     val n = xs.length
     val denoised = bilateralDenoise(xs)
     val ms = periods.sorted.reverse // extract longest period first
-    var work = denoised.clone()
+    val work = denoised.clone()
     val seasByPeriod = scala.collection.mutable.Map.empty[Int, Array[Double]]
     var trend = new Array[Double](n)
     for (m <- ms) {
@@ -48,13 +48,7 @@ final class RobustSTL(multiSeasonal: Boolean = false) extends Decomposer {
     }
     // final robust trend on the fully deseasonalized (denoised) series
     trend = robustTrend(work)
-    val seas = periods.map(seasByPeriod)
-    val res = Array.tabulate(n) { t =>
-      var r = xs(t) - trend(t)
-      for (s <- seas) r -= s(t)
-      r
-    }
-    Decomposition(trend, seas, res)
+    Decomposition.additive(xs, trend, periods.map(seasByPeriod))
   }
 
   /** Bilateral filter: Gaussian in both time distance and value distance. */

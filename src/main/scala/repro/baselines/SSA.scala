@@ -53,13 +53,7 @@ final class SSA(maxL: Int = 360, maxComps: Int = 24) extends Decomposer {
       }
       c += 1
     }
-    val res = Array.tabulate(n) { t =>
-      var v = xs(t) - trend(t)
-      var pi = 0
-      while (pi < seas.length) { v -= seas(pi)(t); pi += 1 }
-      v
-    }
-    Decomposition(trend, seas.toSeq, res)
+    Decomposition.additive(xs, trend, seas.toSeq)
   }
 
   /** Elementary series of eigenvector u via projection + diagonal averaging. */

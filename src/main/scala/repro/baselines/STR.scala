@@ -44,13 +44,7 @@ final class STR(denseLimit: Int = 300) extends Decomposer {
       off += m
       s
     }
-    val res = Array.tabulate(n) { t =>
-      var r = xs(t) - trend(t)
-      var pi = 0
-      while (pi < seas.length) { r -= seas(pi)(t); pi += 1 }
-      r
-    }
-    Decomposition(trend, seas.toSeq, res)
+    Decomposition.additive(xs, trend, seas.toSeq)
   }
 
   /** Offset of seasonal block pi within the unknown vector. */

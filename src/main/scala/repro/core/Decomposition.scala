@@ -6,16 +6,28 @@ final case class DecompPoint(
     value: Double,
     trend: Double,
     seasonals: Array[Double],
-    residual: Double) extends Serializable {
+    residual: Double) {
   /** Seasonal total Σ_p S_p. */
-  def seasonalSum: Double = { var s = 0.0; var i = 0; while (i < seasonals.length) { s += seasonals(i); i += 1 }; s }
+  def seasonalSum: Double = DecompPoint.sum(seasonals)
+}
+
+object DecompPoint {
+  /** The point whose residual is `value − trend − Σ seasonals`. */
+  def additive(index: Long, value: Double, trend: Double, seasonals: Array[Double]): DecompPoint =
+    DecompPoint(index, value, trend, seasonals, value - trend - sum(seasonals))
+
+  private def sum(xs: Array[Double]): Double = {
+    var s = 0.0; var i = 0
+    while (i < xs.length) { s += xs(i); i += 1 }
+    s
+  }
 }
 
 /** Additive decomposition of a whole series (column-major). */
 final case class Decomposition(
     trend: Array[Double],
     seasonals: Seq[Array[Double]],
-    residual: Array[Double]) extends Serializable {
+    residual: Array[Double]) {
   def n: Int = trend.length
   /** Σ_p S_p per point. */
   def seasonalSum: Array[Double] = {
@@ -31,6 +43,21 @@ final case class Decomposition(
 }
 
 object Decomposition {
+  /** The decomposition of `xs` whose residual is `xs − trend`, minus each
+    * seasonal in the order given.
+    */
+  def additive(xs: Array[Double], trend: Array[Double], seasonals: Seq[Array[Double]]): Decomposition = {
+    val n = xs.length
+    val res = new Array[Double](n)
+    var i = 0
+    while (i < n) { res(i) = xs(i) - trend(i); i += 1 }
+    for (s <- seasonals) {
+      i = 0
+      while (i < n) { res(i) -= s(i); i += 1 }
+    }
+    Decomposition(trend, seasonals, res)
+  }
+
   /** Assemble from points produced one at a time (e.g. by an online run). */
   def fromPoints(pts: Seq[DecompPoint], k: Int): Decomposition = {
     val n = pts.length

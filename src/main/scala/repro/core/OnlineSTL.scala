@@ -1,5 +1,6 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import scala.collection.mutable.ArrayBuffer
 
 /** OnlineSTL (paper §5): online additive seasonal-trend decomposition.
@@ -15,8 +16,9 @@ import scala.collection.mutable.ArrayBuffer
   * series `K_p` (3m_p, the span Algorithm 1 line 11 reads), phase estimates
   * `E_{p,S}`/`E_{p,T}` (m_p each), and the deseasonalized window `D` (m):
   * 4m + 5·Σm_p + m doubles — which is what makes the algorithm usable as
-  * keyed streaming state. The class is Serializable for exactly that use
-  * (see `repro.streaming`).
+  * keyed streaming state. The class is Serializable for exactly that use;
+  * [[OnlineSTL.toBytes]]/[[OnlineSTL.fromBytes]] are the state codec the
+  * streaming deployment stores (see `repro.streaming`).
   *
   * @param periods user-specified seasonality periods m_p (e.g. Seq(7, 28))
   * @param gamma   seasonality-filter smoothing factor (paper fixes 0.7)
@@ -74,26 +76,24 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
   // Working series W starts as the raw window and is progressively
   // deseasonalized; each period contributes its smoothed seasonal series.
   private def initialize(a0: Array[Double]): Seq[DecompPoint] = {
-    val n = a0.length            // == 4m
-    val base = seen - n          // global 0-based index of the window start
-    var w = a0.clone()
+    val n = a0.length            // == 4m; init runs on the 4m-th point, so index 0 is point 0
+    val w = a0.clone()
     val seasonalSeries = new Array[Array[Double]](k)
     var pi = 0
     while (pi < k) {
       val p = ps(pi)
-      val phase0 = ((base % p) + p).toInt % p
       // 1. initial trend: symmetric filter, window 2m_p; detrend.
       val trend1 = TrendFilter.symmetric(w, 2 * p)
       val t1series = Array.tabulate(n)(i => w(i) - trend1(i))
       // 2. smooth cyclic subseries of the detrended series -> K_p, E_{p,S}.
-      val (sSeries, perPhaseS) = SeasonalityFilter.smoothCyclic(t1series, p, gamma, phase0)
+      val (sSeries, perPhaseS) = SeasonalityFilter.smoothCyclic(t1series, p, gamma)
       System.arraycopy(perPhaseS, 0, ES(pi), 0, p)
       K(pi).pushAll(sSeries)
       // 3. trend of the seasonal series: symmetric, window 3m_p/2; remove it.
       val trendOfSeasonal = TrendFilter.symmetric(sSeries, math.max(2, 3 * p / 2))
       val d5 = Array.tabulate(n)(i => t1series(i) - trendOfSeasonal(i))
       // 4. smooth cyclic subseries of d5 -> E_{p,T} (the emitted seasonality).
-      val (s2Series, perPhaseT) = SeasonalityFilter.smoothCyclic(d5, p, gamma, phase0)
+      val (s2Series, perPhaseT) = SeasonalityFilter.smoothCyclic(d5, p, gamma)
       System.arraycopy(perPhaseT, 0, ET(pi), 0, p)
       seasonalSeries(pi) = s2Series
       // 5. deseasonalize the working series for the next period / final trend.
@@ -108,10 +108,7 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
     // analogue of Algorithm 1's final TF(k_m, D)).
     val finalTrend = TrendFilter.symmetric(w, m)
     (0 until n).map { i =>
-      val seas = Array.tabulate(k)(pi => seasonalSeries(pi)(i))
-      var ssum = 0.0; var j = 0
-      while (j < k) { ssum += seas(j); j += 1 }
-      DecompPoint(base + i, a0(i), finalTrend(i), seas, a0(i) - finalTrend(i) - ssum)
+      DecompPoint.additive(i, a0(i), finalTrend(i), Array.tabulate(k)(pi => seasonalSeries(pi)(i)))
     }
   }
 
@@ -144,16 +141,25 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
     }
     // lines 16-19: final trend from the deseasonalized window, then residual.
     D.push(b)
-    val t = TrendFilter.nonSymmetric(D, m)
-    var ssum = 0.0; var j = 0
-    while (j < k) { ssum += seas(j); j += 1 }
-    DecompPoint(g, x, t, seas, x - t - ssum)
+    DecompPoint.additive(g, x, TrendFilter.nonSymmetric(D, m), seas)
   }
 }
 
 object OnlineSTL {
-  /** One-shot decomposition of an in-memory series. */
-  def decompose(xs: Array[Double], periods: Seq[Int],
-                gamma: Double = SeasonalityFilter.DefaultGamma): Decomposition =
-    new OnlineSTL(periods, gamma).decomposeAll(xs)
+  /** The state codec: the java-serialized bytes of `stl`, which is what the
+    * streaming deployment stores per key.
+    */
+  def toBytes(stl: OnlineSTL): Array[Byte] = {
+    val bos = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bos)
+    out.writeObject(stl)
+    out.close()
+    bos.toByteArray
+  }
+
+  /** Inverse of [[toBytes]]. */
+  def fromBytes(bytes: Array[Byte]): OnlineSTL = {
+    val in = new ObjectInputStream(new ByteArrayInputStream(bytes))
+    try in.readObject().asInstanceOf[OnlineSTL] finally in.close()
+  }
 }

@@ -87,79 +87,65 @@ object TimeSeriesGen {
 
   // ---- real-dataset stand-ins (same n, m as the paper) -------------------
 
+  /** A stand-in series: `trend(t)` plus one random pattern per
+    * (period, minMag, maxMag), drawn in order, plus Gaussian noise of std
+    * `noise`, summed left to right.
+    */
+  private def standIn(seed: Long, n: Int, trend: Int => Double,
+                      seasonals: Seq[(Int, Double, Double)], noise: Double): Generated = {
+    val rng = new Random(seed)
+    val tr = Array.tabulate(n)(trend)
+    val seas = seasonals.map { case (m, lo, hi) =>
+      val pat = randomSeasonalPattern(m, lo, hi, rng)
+      Array.tabulate(n)(t => pat(t % m))
+    }
+    val x = Array.tabulate(n) { t =>
+      var v = tr(t)
+      for (s <- seas) v += s(t)
+      v + rng.nextGaussian() * noise
+    }
+    Generated(x, tr, seas, seasonals.map(_._1))
+  }
+
   /** Daily bike-rental totals, 2 years: yearly-cycle trend with growth,
     * weekly seasonality, moderately heavy noise. n=730, m=7.
     */
-  def bikeSharing(seed: Long = 1L): Generated = {
-    val rng = new Random(seed)
-    val n = 730
-    val trend = Array.tabulate(n)(t =>
-      4500 + 2.5 * t + 1800 * math.sin(2 * math.Pi * (t - 105) / 365.0))
-    val pat = randomSeasonalPattern(7, 250, 400, rng)
-    val seasonal = Array.tabulate(n)(t => pat(t % 7))
-    val x = Array.tabulate(n)(t => trend(t) + seasonal(t) + rng.nextGaussian() * 600)
-    Generated(x, trend, Seq(seasonal), Seq(7))
-  }
+  def bikeSharing(seed: Long = 1L): Generated =
+    standIn(seed, 730, t => 4500 + 2.5 * t + 1800 * math.sin(2 * math.Pi * (t - 105) / 365.0),
+      Seq((7, 250, 400)), noise = 600)
 
   /** Daily female births, 1 year: near-flat trend with a slight rise, weak
     * weekly seasonality, strong relative noise. n=364, m=7.
     */
   def dailyFemaleBirths(seed: Long = 2L): Generated = {
-    val rng = new Random(seed)
     val n = 364
-    val trend = Array.tabulate(n)(t => 40.0 + 4.0 * t / n + 1.5 * math.sin(2 * math.Pi * t / 364.0))
-    val pat = randomSeasonalPattern(7, 1.0, 2.0, rng)
-    val seasonal = Array.tabulate(n)(t => pat(t % 7))
-    val x = Array.tabulate(n)(t => trend(t) + seasonal(t) + rng.nextGaussian() * 5.5)
-    Generated(x, trend, Seq(seasonal), Seq(7))
+    standIn(seed, n, t => 40.0 + 4.0 * t / n + 1.5 * math.sin(2 * math.Pi * t / 364.0),
+      Seq((7, 1.0, 2.0)), noise = 5.5)
   }
 
   /** Monthly electrical-equipment manufacturing: business-cycle trend with a
     * recession dip, strong monthly seasonality, low noise. n=190, m=12.
     */
-  def elecequip(seed: Long = 3L): Generated = {
-    val rng = new Random(seed)
-    val n = 190
-    val trend = Array.tabulate(n) { t =>
+  def elecequip(seed: Long = 3L): Generated =
+    standIn(seed, 190, { t =>
       val cycle = 8 * math.sin(2 * math.Pi * t / 110.0)
       val dip = if (t > 150) -10 * (1 - math.exp(-(t - 150) / 12.0)) else 0.0
       95 + 0.05 * t + cycle + dip
-    }
-    val pat = randomSeasonalPattern(12, 8, 12, rng)
-    val seasonal = Array.tabulate(n)(t => pat(t % 12))
-    val x = Array.tabulate(n)(t => trend(t) + seasonal(t) + rng.nextGaussian() * 2.0)
-    Generated(x, trend, Seq(seasonal), Seq(12))
-  }
+    }, Seq((12, 8, 12)), noise = 2.0)
 
   /** Daily minimum temperature: yearly sinusoid trend, weak weekly and
     * monthly patterns, moderate noise. n=500, m={7, 28}.
     */
-  def minTemperature(seed: Long = 4L): Generated = {
-    val rng = new Random(seed)
-    val n = 500
-    val trend = Array.tabulate(n)(t => 11.0 + 4.5 * math.sin(2 * math.Pi * (t + 30) / 365.0))
-    val pat7 = randomSeasonalPattern(7, 0.3, 0.6, rng)
-    val pat28 = randomSeasonalPattern(28, 0.5, 1.0, rng)
-    val s7 = Array.tabulate(n)(t => pat7(t % 7))
-    val s28 = Array.tabulate(n)(t => pat28(t % 28))
-    val x = Array.tabulate(n)(t => trend(t) + s7(t) + s28(t) + rng.nextGaussian() * 2.2)
-    Generated(x, trend, Seq(s7, s28), Seq(7, 28))
-  }
+  def minTemperature(seed: Long = 4L): Generated =
+    standIn(seed, 500, t => 11.0 + 4.5 * math.sin(2 * math.Pi * (t + 30) / 365.0),
+      Seq((7, 0.3, 0.6), (28, 0.5, 1.0)), noise = 2.2)
 
   /** Hourly aggregated internet traffic: growing trend, strong daily and
     * weekly seasonality, small noise. n=1231, m={24, 168}.
     */
-  def internetTraffic(seed: Long = 5L): Generated = {
-    val rng = new Random(seed)
-    val n = 1231
-    val trend = Array.tabulate(n)(t => 3000 + 0.6 * t + 150 * math.sin(2 * math.Pi * t / 600.0))
-    val pat24 = randomSeasonalPattern(24, 700, 1000, rng)
-    val pat168 = randomSeasonalPattern(168, 250, 400, rng)
-    val s24 = Array.tabulate(n)(t => pat24(t % 24))
-    val s168 = Array.tabulate(n)(t => pat168(t % 168))
-    val x = Array.tabulate(n)(t => trend(t) + s24(t) + s168(t) + rng.nextGaussian() * 120)
-    Generated(x, trend, Seq(s24, s168), Seq(24, 168))
-  }
+  def internetTraffic(seed: Long = 5L): Generated =
+    standIn(seed, 1231, t => 3000 + 0.6 * t + 150 * math.sin(2 * math.Pi * t / 600.0),
+      Seq((24, 700, 1000), (168, 250, 400)), noise = 120)
 
   /** The five Table-3 datasets keyed by the paper's names. */
   def realDatasets(seed: Long = 0L): Seq[(String, Generated)] = Seq(

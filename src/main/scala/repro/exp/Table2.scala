@@ -77,7 +77,7 @@ object Table2 {
   private def keyStateBytes(m: Int, points: Int): Int = {
     val stl = new OnlineSTL(Seq(m))
     (0 until points).foreach(t => stl.push(TimeSeriesGen.metricPoint(0L, t.toLong, m)))
-    OnlineSTLStreaming.toBytes(stl).length
+    OnlineSTL.toBytes(stl).length
   }
 
   def format(rows: Seq[Row]): String = {

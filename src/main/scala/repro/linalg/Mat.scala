@@ -1,9 +1,9 @@
 package repro.linalg
 
-/** Minimal dense row-major matrix. The offline container has no math
-  * libraries, so the baselines' solvers are built on this.
+/** Minimal dense row-major matrix. The baselines use their own solvers,
+  * built on this.
   */
-final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Serializable {
+final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) {
   require(a.length == rows * cols, s"backing array ${a.length} != $rows x $cols")
 
   @inline def apply(i: Int, j: Int): Double = a(i * cols + j)

@@ -1,6 +1,5 @@
 package repro.streaming
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.OnlineSTL
@@ -28,7 +27,9 @@ final case class DecompRow(
 object OnlineSTLStreaming {
 
   /** Per-key processing shared by the batch and streaming paths: feed events
-    * in timestamp order into the keyed OnlineSTL state.
+    * in timestamp order into the keyed OnlineSTL state. The init back-fill
+    * rows get timestamps counted back from the event that completes the
+    * warm-up, which assumes consecutive integer `ts` (0, 1, 2, …).
     */
   private def processKey(key: Long, events: Iterator[MetricEvent],
                          stl: OnlineSTL): Iterator[DecompRow] = {
@@ -56,24 +57,11 @@ object OnlineSTLStreaming {
       .groupByKey(_.seriesId)
       .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
         (key: Long, it: Iterator[MetricEvent], state: GroupState[Array[Byte]]) =>
-          val stl = state.getOption.map(fromBytes).getOrElse(new OnlineSTL(periods))
+          val stl = state.getOption.map(OnlineSTL.fromBytes).getOrElse(new OnlineSTL(periods))
           val out = processKey(key, it, stl).toVector
-          state.update(toBytes(stl))
+          state.update(OnlineSTL.toBytes(stl))
           out.iterator
       }
-  }
-
-  private[repro] def toBytes(stl: OnlineSTL): Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val out = new ObjectOutputStream(bos)
-    out.writeObject(stl)
-    out.close()
-    bos.toByteArray
-  }
-
-  private def fromBytes(bytes: Array[Byte]): OnlineSTL = {
-    val in = new ObjectInputStream(new ByteArrayInputStream(bytes))
-    try in.readObject().asInstanceOf[OnlineSTL] finally in.close()
   }
 
   /** Batch dataflow over a bounded event set — same per-key code path, used

@@ -23,6 +23,12 @@ class DecompositionSpec extends SparkSpec {
     val f = d.fitted
     for (i <- 0 until 3)
       assert(math.abs(f(i) - (trend(i) + s1(i) + s2(i))) < 1e-12)
+    // the same decomposition built through the additive factory
+    val xs = Array(1.7, 1.31, 2.83)
+    val a = Decomposition.additive(xs, trend, Seq(s1, s2))
+    assert(a.fitted.toSeq == f.toSeq)
+    for (i <- 0 until 3)
+      assert(a.residual(i) == (xs(i) - trend(i)) - s1(i) - s2(i), s"residual at $i")
   }
 
   test("fromPoints reassembles a column-major decomposition") {
@@ -40,6 +46,9 @@ class DecompositionSpec extends SparkSpec {
   test("DecompPoint.seasonalSum sums its seasonal components") {
     val p = DecompPoint(0, 1.0, 0.5, Array(0.2, 0.3, -0.1), 0.1)
     assert(math.abs(p.seasonalSum - 0.4) < 1e-12)
+    val q = DecompPoint.additive(3, 1.3, 0.7, Array(0.2, 0.3, -0.1))
+    assert(q.index == 3 && q.value == 1.3 && q.trend == 0.7)
+    assert(q.residual == q.value - q.trend - q.seasonalSum)
   }
 
   test("fromPoints of an empty sequence yields an empty decomposition") {

@@ -59,7 +59,7 @@ class OnlineSTLSpec extends SparkSpec {
   test("decomposition identity holds exactly: X = T + sum(S) + R") {
     val m = 8
     val xs = seasonalSeries(4 * m + 50, m, 0.05, 3.0, 0.5, 3)
-    val d = OnlineSTL.decompose(xs, Seq(m))
+    val d = new OnlineSTL(Seq(m)).decomposeAll(xs)
     for (i <- xs.indices) {
       val recon = d.trend(i) + d.seasonals.map(_(i)).sum + d.residual(i)
       assert(math.abs(recon - xs(i)) < 1e-9, s"identity violated at $i")
@@ -70,7 +70,7 @@ class OnlineSTLSpec extends SparkSpec {
     val m = 12
     val n = 4 * m + 20 * m
     val xs = Array.tabulate(n)(t => 5.0 + 0.1 * t + 2.0 * math.sin(2 * math.Pi * t / m))
-    val d = OnlineSTL.decompose(xs, Seq(m))
+    val d = new OnlineSTL(Seq(m)).decomposeAll(xs)
     // after warm-up, trend should track 5 + 0.1t closely (lag of a few steps)
     val tail = (n / 2) until n
     val err = tail.map(i => math.abs(d.trend(i) - (5.0 + 0.1 * i))).max
@@ -81,7 +81,7 @@ class OnlineSTLSpec extends SparkSpec {
     val m = 10
     val n = 4 * m + 30 * m
     val xs = Array.tabulate(n)(t => 20.0 + 4.0 * math.sin(2 * math.Pi * t / m))
-    val d = OnlineSTL.decompose(xs, Seq(m))
+    val d = new OnlineSTL(Seq(m)).decomposeAll(xs)
     // the non-symmetric trend filter keeps a small systematic lag bias, so the
     // bound is loose relative to the 4.0 amplitude
     val tailRes = (n - 10 * m until n).map(i => math.abs(d.residual(i)))
@@ -92,7 +92,7 @@ class OnlineSTLSpec extends SparkSpec {
     val m = 7
     val n = 4 * m + 40 * m
     val xs = Array.tabulate(n)(t => 3.0 * math.cos(2 * math.Pi * t / m) + 1.0)
-    val d = OnlineSTL.decompose(xs, Seq(m))
+    val d = new OnlineSTL(Seq(m)).decomposeAll(xs)
     for (i <- (n - 2 * m) until (n - m))
       assert(math.abs(d.seasonals(0)(i) - d.seasonals(0)(i + m)) < 0.15,
         s"seasonality not periodic at $i")
@@ -103,7 +103,7 @@ class OnlineSTLSpec extends SparkSpec {
     val n = 4 * m2 + 40 * m2
     val xs = Array.tabulate(n)(t =>
       2.0 * math.sin(2 * math.Pi * t / m1) + 5.0 * math.sin(2 * math.Pi * t / m2) + 50.0)
-    val d = OnlineSTL.decompose(xs, Seq(m1, m2))
+    val d = new OnlineSTL(Seq(m1, m2)).decomposeAll(xs)
     assert(d.seasonals.size == 2)
     // each component should carry non-trivial signal at its own period
     val tail = (n - 10 * m2) until n
@@ -124,7 +124,7 @@ class OnlineSTLSpec extends SparkSpec {
       val amp = if (t < n1) 2.0 else 6.0
       amp * math.sin(2 * math.Pi * t / m)
     }
-    val d = OnlineSTL.decompose(xs, Seq(m))
+    val d = new OnlineSTL(Seq(m)).decomposeAll(xs)
     val lateAmp = ((n1 + n2 - 5 * m) until (n1 + n2)).map(i => math.abs(d.seasonals(0)(i))).max
     assert(lateAmp > 4.0, s"did not adapt to new amplitude: $lateAmp")
   }
@@ -139,9 +139,7 @@ class OnlineSTLSpec extends SparkSpec {
       val stl = new OnlineSTL(periods)
       val xs = seasonalSeries(points, periods.max, 0.01, 1.0, 0.1, 4)
       xs.foreach(stl.push)
-      val bos = new java.io.ByteArrayOutputStream()
-      new java.io.ObjectOutputStream(bos).writeObject(stl)
-      bos.size()
+      OnlineSTL.toBytes(stl).length
     }
     val m = 20
     val s1 = sizeAfter(Seq(m), 4 * m + 10)
@@ -166,10 +164,7 @@ class OnlineSTLSpec extends SparkSpec {
     for (periods <- Seq(Seq(m), Seq(3, m)); cut <- Seq(2 * m, 4 * m - 1, 4 * m + 30)) {
       val stl = new OnlineSTL(periods)
       xs.take(cut).foreach(stl.push)
-      val bos = new java.io.ByteArrayOutputStream()
-      new java.io.ObjectOutputStream(bos).writeObject(stl)
-      val copy = new java.io.ObjectInputStream(
-        new java.io.ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[OnlineSTL]
+      val copy = OnlineSTL.fromBytes(OnlineSTL.toBytes(stl))
       for (i <- cut until xs.length) {
         val a = stl.push(xs(i))
         val b = copy.push(xs(i))
@@ -187,7 +182,7 @@ class OnlineSTLSpec extends SparkSpec {
     val m = 8
     val xs = seasonalSeries(4 * m + 40, m, 0.0, 2.0, 0.2, 6)
     for (g <- Seq(0.01, 0.5, 1.0)) {
-      val d = OnlineSTL.decompose(xs.clone(), Seq(m), gamma = g)
+      val d = new OnlineSTL(Seq(m), gamma = g).decomposeAll(xs.clone())
       assert(d.n == xs.length)
       for (i <- xs.indices)
         assert(math.abs(d.trend(i) + d.seasonals.map(_(i)).sum + d.residual(i) - xs(i)) < 1e-9)
@@ -200,7 +195,7 @@ class OnlineSTLSpec extends SparkSpec {
     val rng = new Random(9)
     val xs = Array.tabulate(n)(t =>
       0.02 * t + 3.0 * math.sin(2 * math.Pi * t / m) + rng.nextGaussian() * 0.3)
-    val d = OnlineSTL.decompose(xs, Seq(m))
+    val d = new OnlineSTL(Seq(m)).decomposeAll(xs)
     val mase = Metrics.maseResidual(xs, d, m)
     assert(mase < 1.0, s"MASE $mase should beat seasonal naive (1.0)")
   }
@@ -210,7 +205,7 @@ class OnlineSTLSpec extends SparkSpec {
     val rng = new Random(10)
     val xs = Array.tabulate(4 * m + 60 * m)(t =>
       0.01 * t + 2.0 * math.sin(2 * math.Pi * t / m) + rng.nextGaussian() * 1.0)
-    val d = OnlineSTL.decompose(xs, Seq(m))
+    val d = new OnlineSTL(Seq(m)).decomposeAll(xs)
     assert(Metrics.trendSmoothness(d.trend) < Metrics.trendSmoothness(xs))
   }
 

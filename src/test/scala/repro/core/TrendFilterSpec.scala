@@ -88,7 +88,6 @@ class TrendFilterSpec extends SparkSpec {
   }
 
   test("symmetric smoothing attenuates high-frequency oscillation") {
-    val xs = Array.tabulate(200)(i => math.sin(i * math.Pi)) // alternating-ish
     val noisy = Array.tabulate(200)(i => if (i % 2 == 0) 1.0 else -1.0)
     val out = TrendFilter.symmetric(noisy, 12)
     val maxAbs = out.slice(10, 190).map(math.abs).max

@@ -80,6 +80,14 @@ class TimeSeriesGenSpec extends SparkSpec {
     val a = TimeSeriesGen.realDatasets(seed = 3).map(_._2.x.toSeq)
     val b = TimeSeriesGen.realDatasets(seed = 3).map(_._2.x.toSeq)
     assert(a == b)
+    // each stand-in's values, pinned exactly at the default seed
+    val sums = Seq(
+      "Bike sharing"        -> 3931687.41372764,
+      "Daily female births" -> 15304.55189036463,
+      "Elecequip"           -> 18768.18586388364,
+      "Min temperature"     -> 5992.813087803917,
+      "Internet traffic"    -> 4150398.478192502)
+    assert(TimeSeriesGen.realDatasets().map { case (name, g) => name -> g.x.sum } == sums)
   }
 
   test("metricPoint is deterministic and seasonal-ish") {

@@ -108,12 +108,12 @@ class OnlineSTLStreamingSpec extends SparkSpec {
       stream.addData((0 until 2 * period).map(t =>
         MetricEvent(0L, t, TimeSeriesGen.metricPoint(0L, t.toLong, period))))
       query.processAllAvailable()
-      assert(spark.sql("SELECT count(*) c FROM decomp_warm").first.getLong(0) == 0L)
+      assert(spark.sql("SELECT count(*) c FROM decomp_warm").first().getLong(0) == 0L)
       // crossing the 4m boundary releases the whole backlog
       stream.addData((2 * period until 4 * period).map(t =>
         MetricEvent(0L, t, TimeSeriesGen.metricPoint(0L, t.toLong, period))))
       query.processAllAvailable()
-      assert(spark.sql("SELECT count(*) c FROM decomp_warm").first.getLong(0) == 4L * period)
+      assert(spark.sql("SELECT count(*) c FROM decomp_warm").first().getLong(0) == 4L * period)
     } finally query.stop()
   }
 }
