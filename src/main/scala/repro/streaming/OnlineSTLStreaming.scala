@@ -30,10 +30,17 @@ object OnlineSTLStreaming {
     * in timestamp order into the keyed OnlineSTL state. The init back-fill
     * rows get timestamps counted back from the event that completes the
     * warm-up, which assumes consecutive integer `ts` (0, 1, 2, …).
+    *
+    * Events whose value is not finite (NaN, ±∞) are skipped and emit no
+    * row: pushed, one would stay in the exponential smoothing `E_{p,S}`/
+    * `E_{p,T}` and turn every later trend and seasonal value into NaN. A
+    * skipped point shifts the phase like a missing point does (the phase
+    * is the count of points pushed, mod m_p); phase-preserving imputation
+    * is not done here.
     */
   private def processKey(key: Long, events: Iterator[MetricEvent],
                          stl: OnlineSTL): Iterator[DecompRow] = {
-    val sorted = events.toArray.sortBy(_.ts)
+    val sorted = events.filter(e => java.lang.Double.isFinite(e.value)).toArray.sortBy(_.ts)
     sorted.iterator.flatMap { e =>
       stl.push(e.value).map { p =>
         // p.index counts points within the series; init back-fill points map
@@ -49,6 +56,15 @@ object OnlineSTLStreaming {
     * micro-batch mirrors Flink state backends). The state is kept as exactly
     * the serialized bytes: `Encoders.javaSerialization` would store the
     * serializer's whole output buffer, up to twice the state's size.
+    *
+    * State partitions = task slots: the state operator gets one per
+    * `spark.sql.shuffle.partitions`, each committing a state-store version
+    * every micro-batch, and `repro.jobs.JobSession` sets that to the task
+    * slots. The count is frozen in the checkpoint at the query's first
+    * start; a restart on it keeps the count whatever the session then says.
+    * A caller that brings its own session should make the same two settings
+    * as `JobSession.get`: shuffle partitions = task slots, and the previous
+    * count as `spark.sql.adaptive.coalescePartitions.initialPartitionNum`.
     */
   def decomposeStream(events: Dataset[MetricEvent], periods: Seq[Int]): Dataset[DecompRow] = {
     val spark = events.sparkSession

@@ -1,7 +1,11 @@
 package repro.streaming
 
+import java.nio.file.Files
+import java.util.Comparator
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
-import org.apache.spark.sql.streaming.OutputMode
+import org.apache.spark.sql.streaming.{OutputMode, StreamingQuery}
 import repro.SparkSpec
 import repro.core.OnlineSTL
 import repro.data.TimeSeriesGen
@@ -12,13 +16,38 @@ class OnlineSTLStreamingSpec extends SparkSpec {
   private val nSeries = 5
   private val pointsPerSeries = 4 * period + 3 * period
 
-  private def sequentialReference(seriesId: Long): Seq[(Long, Double, Double, Double)] = {
+  private def sequentialReference(seriesId: Long,
+                                  n: Int = pointsPerSeries): Seq[(Long, Double, Double, Double)] = {
     val stl = new OnlineSTL(Seq(period))
-    (0 until pointsPerSeries).flatMap { t =>
+    (0 until n).flatMap { t =>
       stl.push(TimeSeriesGen.metricPoint(seriesId, t.toLong, period)).map(p =>
         (p.index, p.trend, p.seasonalSum, p.residual))
     }
   }
+
+  /** Key `s`'s rows, in ts order, equal the sequential reference over `n` points. */
+  private def assertMatchesReference(s: Long, rows: Seq[DecompRow], n: Int = pointsPerSeries): Unit = {
+    val got = rows.filter(_.seriesId == s).sortBy(_.ts)
+    val exp = sequentialReference(s, n)
+    assert(got.size == exp.size, s"key $s: ${got.size} rows vs ${exp.size}")
+    for ((g, e) <- got.zip(exp)) {
+      assert(g.ts == e._1, s"ts mismatch: $g vs $e")
+      assert(math.abs(g.trend - e._2) < 1e-9, s"trend mismatch at key $s ts ${g.ts}")
+      assert(math.abs(g.seasonal - e._3) < 1e-9, s"seasonal mismatch at key $s ts ${g.ts}")
+      assert(math.abs(g.residual - e._4) < 1e-9, s"residual mismatch at key $s ts ${g.ts}")
+    }
+  }
+
+  /** Feeds keys 0 and 1 one micro-batch per size, from ts `t0` on, each
+    * processed before the next; returns the ts after the last batch.
+    */
+  private def feed(stream: MemoryStream[MetricEvent], query: StreamingQuery, t0: Int, sizes: Seq[Int]): Int =
+    sizes.foldLeft(t0) { (t, sz) =>
+      stream.addData(for (s <- 0L until 2L; dt <- 0 until sz)
+        yield MetricEvent(s, t + dt, TimeSeriesGen.metricPoint(s, (t + dt).toLong, period)))
+      query.processAllAvailable()
+      t + sz
+    }
 
   test("batch dataflow emits one row per input event") {
     val events = OnlineSTLStreaming.syntheticEvents(spark, nSeries, pointsPerSeries, period)
@@ -31,17 +60,7 @@ class OnlineSTLStreamingSpec extends SparkSpec {
     val rows = OnlineSTLStreaming.decomposeBatch(events, Seq(period)).collect()
     val byKey = rows.groupBy(_.seriesId)
     assert(byKey.keySet == (0L until nSeries).toSet)
-    for (s <- 0L until nSeries) {
-      val got = byKey(s).sortBy(_.ts).map(r => (r.ts, r.trend, r.seasonal, r.residual)).toSeq
-      val exp = sequentialReference(s)
-      assert(got.size == exp.size)
-      for ((g, e) <- got.zip(exp)) {
-        assert(g._1 == e._1, s"ts mismatch: $g vs $e")
-        assert(math.abs(g._2 - e._2) < 1e-9, s"trend mismatch at ts ${g._1}")
-        assert(math.abs(g._3 - e._3) < 1e-9, s"seasonal mismatch at ts ${g._1}")
-        assert(math.abs(g._4 - e._4) < 1e-9, s"residual mismatch at ts ${g._1}")
-      }
-    }
+    for (s <- 0L until nSeries) assertMatchesReference(s, rows.toSeq)
   }
 
   test("batch dataflow is partition-order independent (repartitioned input)") {
@@ -72,28 +91,86 @@ class OnlineSTLStreamingSpec extends SparkSpec {
       .start()
     try {
       // feed several micro-batches of varying size to cross the init boundary
-      val batchSizes = Seq(10, 4 * period - 5, 7, 2 * period, 10)
-      var t = 0
-      for (sz <- batchSizes) {
-        val events = for (s <- 0L until 2L; dt <- 0 until sz)
-          yield MetricEvent(s, t + dt, TimeSeriesGen.metricPoint(s, (t + dt).toLong, period))
-        stream.addData(events)
+      val total = feed(stream, query, 0, Seq(10, 4 * period - 5, 7, 2 * period, 10))
+      val got = spark.sql("SELECT * FROM decomp_test").as[DecompRow].collect().toSeq
+      assertMatchesReference(1L, got, total)
+      // JobSession's deployed count: one state partition per task slot.
+      assert(query.lastProgress.stateOperators(0).numShufflePartitions ==
+        spark.sparkContext.defaultParallelism)
+    } finally query.stop()
+  }
+
+  test("structured streaming matches sequential across a checkpoint/restart") {
+    import spark.implicits._
+    implicit val sqlCtx = spark.sqlContext
+    val checkpointDir = Files.createTempDirectory("onlinestl-ckpt")
+    val stream = MemoryStream[MetricEvent]
+    val rows = new java.util.concurrent.ConcurrentLinkedQueue[DecompRow]
+    val sink: (Dataset[DecompRow], Long) => Unit = (df, _) => { df.collect().foreach(rows.add); () }
+    def start() = OnlineSTLStreaming.decomposeStream(stream.toDS(), Seq(period))
+      .writeStream.option("checkpointLocation", checkpointDir.toString).foreachBatch(sink).start()
+    val shuffleKey = "spark.sql.shuffle.partitions"
+    val deployed = spark.conf.get(shuffleKey)
+    val (frozen, total) =
+      try {
+        val first = start()
+        val (frozen, mid) =
+          try {
+            val mid = feed(stream, first, 0, Seq(10, 4 * period - 5, 7)) // crosses the 4m init boundary
+            (first.lastProgress.stateOperators(0).numShufflePartitions, mid)
+          } finally first.stop()
+        try {
+          spark.conf.set(shuffleKey, deployed.toLong + 3)
+          val second = start()
+          try {
+            val total = feed(stream, second, mid, Seq(2 * period, 10, 5))
+            // The state partition count is frozen in the checkpoint.
+            assert(second.lastProgress.stateOperators(0).numShufflePartitions == frozen)
+            (frozen, total)
+          } finally second.stop()
+        } finally spark.conf.set(shuffleKey, deployed)
+      } finally Files.walk(checkpointDir).sorted(Comparator.reverseOrder()).forEach(p => Files.delete(p))
+    assert(frozen == spark.sparkContext.defaultParallelism)
+    val got = rows.asScala.toSeq
+    for (s <- 0L until 2L) {
+      val ts = got.filter(_.seriesId == s).map(_.ts)
+      assert(ts.distinct.size == ts.size, s"a ts of key $s was emitted twice")
+      assertMatchesReference(s, got, total)
+    }
+  }
+
+  test("non-finite values are skipped and never poison a key (batch and streaming)") {
+    import spark.implicits._
+    implicit val sqlCtx = spark.sqlContext
+    val n = 4 * period + 3 * period
+    val bad = Map(4 * period + 5 -> Double.NaN, 4 * period + 9 -> Double.PositiveInfinity)
+    val events = (0 until n).map(t =>
+      MetricEvent(0L, t, bad.getOrElse(t, TimeSeriesGen.metricPoint(0L, t.toLong, period))))
+    // Reference: the sequential OnlineSTL fed only the finite values.
+    val stl = new OnlineSTL(Seq(period))
+    val exp = events.filterNot(e => bad.contains(e.ts.toInt)).flatMap(e => stl.push(e.value))
+    def check(path: String, rows: Seq[DecompRow]): Unit = {
+      assert(rows.size == n - bad.size, s"$path: ${rows.size} rows")
+      for ((r, e) <- rows.sortBy(_.ts).zip(exp)) {
+        val all = Seq(r.value, r.trend, r.seasonal, r.residual) ++ r.seasonals
+        assert(all.forall(java.lang.Double.isFinite), s"$path: non-finite row $r")
+        assert(math.abs(r.trend + r.seasonal + r.residual - r.value) < 1e-9, s"$path: $r")
+        assert(math.abs(r.trend - e.trend) < 1e-9 && math.abs(r.residual - e.residual) < 1e-9, s"$path: $r")
+      }
+    }
+    check("batch", OnlineSTLStreaming.decomposeBatch(events.toDS(), Seq(period)).collect().toSeq)
+
+    val stream = MemoryStream[MetricEvent]
+    val query = OnlineSTLStreaming.decomposeStream(stream.toDS(), Seq(period))
+      .writeStream.format("memory").queryName("decomp_nonfinite").outputMode(OutputMode.Append)
+      .start()
+    try {
+      // The NaN and the +inf arrive in different micro-batches after init.
+      for (part <- Seq(events.take(4 * period + 7), events.drop(4 * period + 7))) {
+        stream.addData(part)
         query.processAllAvailable()
-        t += sz
       }
-      val total = t
-      val got = spark.sql("SELECT * FROM decomp_test").as[DecompRow].collect()
-        .filter(_.seriesId == 1L).sortBy(_.ts)
-      // reference: sequential push of the same data
-      val stl = new OnlineSTL(Seq(period))
-      val exp = (0 until total).flatMap(ts =>
-        stl.push(TimeSeriesGen.metricPoint(1L, ts.toLong, period)).map(p => (p.index, p.trend, p.residual)))
-      assert(got.length == exp.size, s"${got.length} vs ${exp.size}")
-      for ((g, e) <- got.zip(exp)) {
-        assert(g.ts == e._1)
-        assert(math.abs(g.trend - e._2) < 1e-9)
-        assert(math.abs(g.residual - e._3) < 1e-9)
-      }
+      check("streaming", spark.sql("SELECT * FROM decomp_nonfinite").as[DecompRow].collect().toSeq)
     } finally query.stop()
   }
 
