@@ -1,6 +1,7 @@
 package repro.core
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
 /** OnlineSTL (paper §5): online additive seasonal-trend decomposition.
@@ -10,20 +11,34 @@ import scala.collection.mutable.ArrayBuffer
   * one-time initialization (§5.2, symmetric tri-cube smoothing + cyclic
   * exponential smoothing) runs on `A` and the decompositions of all 4m
   * warm-up points are emitted at once. Every later point is decomposed
-  * online (Algorithm 1) in O(Σ_p m_p) time and emitted immediately.
+  * online (Algorithm 1) and emitted immediately.
+  *
+  * Cost: the 2k + 1 trend filters `TF(k_λ, ·)` of a point (`A` at 4m_p, `K_p`
+  * at 3m_p, `D` at m; k periods) are [[SlidingTricube]] trackers by default,
+  * O(1) each, so an update costs O(k) and the init O(m) per period (beyond
+  * the paper). With `paperKernel = true` they are the paper's ring dot
+  * products, [[TrendFilter.nonSymmetric]] and [[TrendFilter.symmetric]]:
+  * O(Σ_p m_p) per update and O(m²) per init, the cost model of Table 2.
+  * The two agree to rounding (≤1e-9 relative in the tests).
   *
   * State is O(4m) per series — sliding window `A` (4m), per-period seasonal
   * series `K_p` (3m_p, the span Algorithm 1 line 11 reads), phase estimates
-  * `E_{p,S}`/`E_{p,T}` (m_p each), and the deseasonalized window `D` (m):
-  * 4m + 5·Σm_p + m doubles — which is what makes the algorithm usable as
-  * keyed streaming state. The class is Serializable for exactly that use;
+  * `E_{p,S}`/`E_{p,T}` (m_p each), the deseasonalized window `D` (m), and
+  * with the sliding filters [[SlidingTricube.Slots]] doubles per tracker:
+  * 4m + 5·Σm_p + m + 11·(2k + 1) doubles — which is what makes the
+  * algorithm usable as keyed streaming state. The trackers recompute their
+  * moments when `pointsSeen` is a multiple of their λ, so that phase needs
+  * no counter of its own. The class is Serializable for exactly that use;
   * [[OnlineSTL.toBytes]]/[[OnlineSTL.fromBytes]] are the state codec the
   * streaming deployment stores (see `repro.streaming`).
   *
   * @param periods user-specified seasonality periods m_p (e.g. Seq(7, 28))
   * @param gamma   seasonality-filter smoothing factor (paper fixes 0.7)
+  * @param paperKernel use the paper's ring-dot trend filters instead of the
+  *                    sliding ones (Table 2's paper rows and the oracle tests)
   */
-final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.DefaultGamma)
+final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.DefaultGamma,
+                      paperKernel: Boolean = false)
     extends Serializable {
   // The checks read `ps`, not `periods`: a require message closing over a
   // constructor parameter makes scalac keep it as a (serialized) field.
@@ -43,6 +58,10 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
   private val ES = ps.map(p => new Array[Double](p))              // E_{p,S}
   private val ET = ps.map(p => new Array[Double](p))              // E_{p,T}
   private val D = new CircularBuffer(m)                           // deseasonalized last m
+  // Trend trackers, SlidingTricube.Slots doubles each: A at 4m_p for period
+  // pi at block pi, K_p at block k + pi, D at block 2k.
+  private val mom =
+    if (paperKernel) Array.emptyDoubleArray else new Array[Double]((2 * k + 1) * SlidingTricube.Slots)
   private var seen: Long = 0L                                     // points consumed
 
   /** True once the init phase has run and updates are online. */
@@ -83,15 +102,15 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
     while (pi < k) {
       val p = ps(pi)
       // 1. initial trend: symmetric filter, window 2m_p; detrend.
-      val trend1 = TrendFilter.symmetric(w, 2 * p)
-      val t1series = Array.tabulate(n)(i => w(i) - trend1(i))
+      val trend1 = smooth(w, 2 * p)
+      val t1series = minus(w, trend1)
       // 2. smooth cyclic subseries of the detrended series -> K_p, E_{p,S}.
       val (sSeries, perPhaseS) = SeasonalityFilter.smoothCyclic(t1series, p, gamma)
       System.arraycopy(perPhaseS, 0, ES(pi), 0, p)
       K(pi).pushAll(sSeries)
       // 3. trend of the seasonal series: symmetric, window 3m_p/2; remove it.
-      val trendOfSeasonal = TrendFilter.symmetric(sSeries, math.max(2, 3 * p / 2))
-      val d5 = Array.tabulate(n)(i => t1series(i) - trendOfSeasonal(i))
+      val trendOfSeasonal = smooth(sSeries, math.max(2, 3 * p / 2))
+      val d5 = minus(t1series, trendOfSeasonal)
       // 4. smooth cyclic subseries of d5 -> E_{p,T} (the emitted seasonality).
       val (s2Series, perPhaseT) = SeasonalityFilter.smoothCyclic(d5, p, gamma)
       System.arraycopy(perPhaseT, 0, ET(pi), 0, p)
@@ -103,19 +122,47 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
     }
     // D := last m of the fully deseasonalized series (§5.2 step 6).
     D.pushAll(w.takeRight(m))
+    if (!paperKernel) {
+      pi = 0
+      while (pi < k) {
+        SlidingTricube.reset(mom, block(pi), A, 4 * ps(pi))
+        SlidingTricube.reset(mom, block(k + pi), K(pi), 3 * ps(pi))
+        pi += 1
+      }
+      SlidingTricube.reset(mom, block(2 * k), D, m)
+    }
     // Emit decompositions for the warm-up window: final trend is the
     // symmetric window-m smooth of the deseasonalized series (the batch
     // analogue of Algorithm 1's final TF(k_m, D)).
-    val finalTrend = TrendFilter.symmetric(w, m)
-    (0 until n).map { i =>
-      DecompPoint.additive(i, a0(i), finalTrend(i), Array.tabulate(k)(pi => seasonalSeries(pi)(i)))
+    val finalTrend = smooth(w, m)
+    val out = new Array[DecompPoint](n)
+    var i = 0
+    while (i < n) {
+      val seas = new Array[Double](k)
+      pi = 0
+      while (pi < k) { seas(pi) = seasonalSeries(pi)(i); pi += 1 }
+      out(i) = DecompPoint.additive(i, a0(i), finalTrend(i), seas)
+      i += 1
     }
+    ArraySeq.unsafeWrapArray(out)
+  }
+
+  // `Array.tabulate` would box every element.
+  private def minus(a: Array[Double], b: Array[Double]): Array[Double] = {
+    val out = new Array[Double](a.length)
+    var i = 0
+    while (i < a.length) { out(i) = a(i) - b(i); i += 1 }
+    out
   }
 
   // --- online update (Algorithm 1) ---------------------------------------
   private def update(x: Double): DecompPoint = {
     val g = seen // 0-based global index of this point
     seen += 1
+    if (!paperKernel) {
+      var pi = 0
+      while (pi < k) { slide(pi, A, 4 * ps(pi), x); pi += 1 }
+    }
     A.push(x)
     var b = x
     val seas = new Array[Double](k)
@@ -124,13 +171,13 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
       val p = ps(pi)
       val r = (g % p).toInt
       // line 6: initial trend of the raw window, window 4m_p.
-      val t1 = TrendFilter.nonSymmetric(A, 4 * p)
+      val t1 = trend(pi, A, 4 * p)
       // lines 7-9: detrend, update E_{p,S}, extend the seasonal series K_p.
       val d1 = b - t1
       ES(pi)(r) = SeasonalityFilter.step(ES(pi)(r), d1, gamma)
-      K(pi).push(ES(pi)(r))
+      feed(k + pi, K(pi), 3 * p, ES(pi)(r))
       // line 11: trend of the seasonal series, window 3m_p.
-      val t4 = TrendFilter.nonSymmetric(K(pi), 3 * p)
+      val t4 = trend(k + pi, K(pi), 3 * p)
       // lines 12-13: fully detrended value updates E_{p,T}.
       val d5 = b - t1 - t4
       ET(pi)(r) = SeasonalityFilter.step(ET(pi)(r), d5, gamma)
@@ -140,9 +187,29 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
       pi += 1
     }
     // lines 16-19: final trend from the deseasonalized window, then residual.
-    D.push(b)
-    DecompPoint.additive(g, x, TrendFilter.nonSymmetric(D, m), seas)
+    feed(2 * k, D, m, b)
+    DecompPoint.additive(g, x, trend(2 * k, D, m), seas)
   }
+
+  // --- trend filters: sliding trackers, or the paper's ring dots ----------
+  private def block(t: Int): Int = t * SlidingTricube.Slots
+
+  private def smooth(xs: Array[Double], window: Int): Array[Double] =
+    if (paperKernel) TrendFilter.symmetric(xs, window) else SlidingTricube.symmetric(xs, window)
+
+  /** Tracker `t` (window λ over `ring`) takes `x` as its newest point; the
+    * caller pushes `x` onto `ring` next. `seen` already counts `x`.
+    */
+  private def slide(t: Int, ring: CircularBuffer, lambda: Int, x: Double): Unit =
+    SlidingTricube.advance(mom, block(t), ring, lambda, x, refresh = seen % lambda == 0)
+
+  private def feed(t: Int, ring: CircularBuffer, lambda: Int, x: Double): Unit = {
+    if (!paperKernel) slide(t, ring, lambda, x)
+    ring.push(x)
+  }
+
+  private def trend(t: Int, ring: CircularBuffer, lambda: Int): Double =
+    if (paperKernel) TrendFilter.nonSymmetric(ring, lambda) else SlidingTricube.value(mom, block(t), lambda)
 }
 
 object OnlineSTL {

@@ -37,10 +37,14 @@ object OnlineSTLStreaming {
     * skipped point shifts the phase like a missing point does (the phase
     * is the count of points pushed, mod m_p); phase-preserving imputation
     * is not done here.
+    *
+    * Events with equal `ts` keep their arrival order (the sort is stable),
+    * and input already in `ts` order is not sorted at all.
     */
-  private def processKey(key: Long, events: Iterator[MetricEvent],
-                         stl: OnlineSTL): Iterator[DecompRow] = {
-    val sorted = events.filter(e => java.lang.Double.isFinite(e.value)).toArray.sortBy(_.ts)
+  private[repro] def processKey(key: Long, events: Iterator[MetricEvent],
+                                stl: OnlineSTL): Iterator[DecompRow] = {
+    val sorted = events.filter(e => java.lang.Double.isFinite(e.value)).toArray
+    if (!inTsOrder(sorted)) java.util.Arrays.sort(sorted, byTs)
     sorted.iterator.flatMap { e =>
       stl.push(e.value).map { p =>
         // p.index counts points within the series; init back-fill points map
@@ -49,6 +53,15 @@ object OnlineSTLStreaming {
         DecompRow(key, ts, p.value, p.trend, p.seasonals.toSeq, p.seasonalSum, p.residual)
       }
     }
+  }
+
+  // A comparator on the primitive `ts`: `sortBy(_.ts)` boxes both per compare.
+  private val byTs: java.util.Comparator[MetricEvent] = (a, b) => java.lang.Long.compare(a.ts, b.ts)
+
+  private def inTsOrder(es: Array[MetricEvent]): Boolean = {
+    var i = 1
+    while (i < es.length && es(i - 1).ts <= es(i).ts) i += 1
+    i >= es.length
   }
 
   /** Structured Streaming decomposition: keyed state = the java-serialized

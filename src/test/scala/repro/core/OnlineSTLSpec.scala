@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.data.TimeSeriesGen
 import repro.metrics.Metrics
 import scala.util.Random
 
@@ -148,10 +149,13 @@ class OnlineSTLSpec extends SparkSpec {
     // warm-up points live in the 4m window itself, so state does not peak before init
     val s0 = sizeAfter(Seq(m), 4 * m - 1)
     assert(s0 <= s1, s"warm-up state larger than steady state: $s0 vs $s1")
-    // A (4m) + K_p (3m_p) + E_{p,S}, E_{p,T} (m_p each) + D (m) doubles; 1,500 B
-    // covers the class descriptors
+    // A (4m) + K_p (3m_p) + E_{p,S}, E_{p,T} (m_p each) + D (m) doubles, plus
+    // the sliding trend trackers (Slots doubles for each of A per period, K_p
+    // and D); 1,000 B covers the class descriptors (591 B here). The bound,
+    // 3,960 B, is below the 4,020 B it was before the trackers.
     val ps = Seq(7, 28)
-    val bound = 8 * (4 * ps.max + 5 * ps.sum + ps.max) + 1500
+    val trackers = 2 * ps.size + 1
+    val bound = 8 * (4 * ps.max + 5 * ps.sum + ps.max + SlidingTricube.Slots * trackers) + 1000
     val s3 = sizeAfter(ps, 4 * ps.max + 100)
     assert(s3 <= bound, s"state for periods $ps is $s3 B, above $bound B")
   }
@@ -160,8 +164,12 @@ class OnlineSTLSpec extends SparkSpec {
     val m = 6
     val xs = seasonalSeries(4 * m + 60, m, 0.02, 2.0, 0.3, 5)
     // cuts mid warm-up, one point before init, and after init; two periods
-    // give rings of different capacities
-    for (periods <- Seq(Seq(m), Seq(3, m)); cut <- Seq(2 * m, 4 * m - 1, 4 * m + 30)) {
+    // give rings of different capacities. 72 points is a multiple of every
+    // tracker window (4m_p, 3m_p and m for both period sets), so the trackers
+    // all recompute on the 72nd point: cut just before, at and after it.
+    val refresh = 72
+    for (periods <- Seq(Seq(m), Seq(3, m));
+         cut <- Seq(2 * m, 4 * m - 1, 4 * m + 30, refresh - 1, refresh, refresh + 1)) {
       val stl = new OnlineSTL(periods)
       xs.take(cut).foreach(stl.push)
       val copy = OnlineSTL.fromBytes(OnlineSTL.toBytes(stl))
@@ -176,6 +184,44 @@ class OnlineSTLSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  /** Default (sliding) OnlineSTL against the paper-kernel one on every
+    * emitted trend, seasonal and residual, within 1e-9 × max |x|.
+    */
+  private def assertMatchesPaperKernel(periods: Seq[Int], xs: Array[Double]): Unit = {
+    val fast = new OnlineSTL(periods)
+    val paper = new OnlineSTL(periods, paperKernel = true)
+    val tol = 1e-9 * xs.map(math.abs).max
+    for (x <- xs) {
+      val a = fast.push(x)
+      val b = paper.push(x)
+      assert(a.size == b.size)
+      for ((p, q) <- a.zip(b)) {
+        val diffs = math.abs(p.trend - q.trend) +: math.abs(p.residual - q.residual) +:
+          p.seasonals.indices.map(j => math.abs(p.seasonals(j) - q.seasonals(j)))
+        assert(diffs.max <= tol, s"periods $periods, point ${p.index}: $p vs $q")
+      }
+    }
+    assert(fast.pointsSeen == xs.length)
+  }
+
+  for (m <- Seq(10, 100, 1000)) {
+    test(s"sliding trend filters match the paper kernel end to end, m=$m over 40m points") {
+      assertMatchesPaperKernel(Seq(m), seasonalSeries(40 * m, m, 0.01, 3.0, 1.0, m))
+    }
+  }
+
+  test("sliding trend filters match the paper kernel end to end, m=10000 over 5m points") {
+    val m = 10000
+    assertMatchesPaperKernel(Seq(m), Array.tabulate(5 * m)(t => TimeSeriesGen.metricPoint(0L, t.toLong, m)))
+  }
+
+  test("sliding trend filters match the paper kernel end to end, periods (7, 28)") {
+    val rng = new Random(11)
+    val xs = Array.tabulate(40 * 28)(t =>
+      1e6 + 2.0 * math.sin(2 * math.Pi * t / 7) + 5.0 * math.sin(2 * math.Pi * t / 28) + rng.nextGaussian())
+    assertMatchesPaperKernel(Seq(7, 28), xs)
   }
 
   test("gamma extremes still produce valid decompositions") {

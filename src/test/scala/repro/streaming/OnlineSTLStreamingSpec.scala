@@ -73,6 +73,22 @@ class OnlineSTLStreamingSpec extends SparkSpec {
     for ((g, e) <- s0.zip(exp)) assert(math.abs(g.trend - e._2) < 1e-9)
   }
 
+  test("processKey orders events by ts stably: equal ts keep their arrival order") {
+    // Every third ts arrives twice with different values, the input shuffled.
+    val events = (0 until pointsPerSeries).flatMap { t =>
+      val e = MetricEvent(0L, t.toLong, TimeSeriesGen.metricPoint(0L, t.toLong, period))
+      if (t % 3 == 0) Seq(e, e.copy(value = e.value + 1.0)) else Seq(e)
+    }
+    val shuffled = new scala.util.Random(4).shuffle(events)
+    def run(es: Seq[MetricEvent]) =
+      OnlineSTLStreaming.processKey(0L, es.iterator, new OnlineSTL(Seq(period))).toVector
+    val expected = run(shuffled.sortBy(_.ts))
+    assert(run(shuffled) == expected)
+    // input already in ts order is taken as it comes
+    assert(run(shuffled.sortBy(_.ts)) == expected)
+    assert(expected.map(_.value) == shuffled.sortBy(_.ts).map(_.value))
+  }
+
   test("decomposition identity holds on every emitted row") {
     val events = OnlineSTLStreaming.syntheticEvents(spark, 3, pointsPerSeries, period)
     val rows = OnlineSTLStreaming.decomposeBatch(events, Seq(period)).collect()
