@@ -5,8 +5,7 @@ package repro.core
   *
   * The OnlineSTL hot loop only ever needs (a) O(1) push and (b) a dot product
   * of a kernel against the *last w* elements, so both are provided directly on
-  * the ring without copying. Serializable because it is part of streaming
-  * state.
+  * the ring without copying.
   */
 final class CircularBuffer(val capacity: Int) extends Serializable {
   require(capacity > 0, s"capacity must be positive, got $capacity")

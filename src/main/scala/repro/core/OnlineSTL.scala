@@ -1,6 +1,5 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
@@ -28,25 +27,20 @@ import scala.collection.mutable.ArrayBuffer
   * 4m + 5·Σm_p + m + 11·(2k + 1) doubles — which is what makes the
   * algorithm usable as keyed streaming state. The trackers recompute their
   * moments when `pointsSeen` is a multiple of their λ, so that phase needs
-  * no counter of its own. The class is Serializable for exactly that use;
-  * [[OnlineSTL.toBytes]]/[[OnlineSTL.fromBytes]] are the state codec the
-  * streaming deployment stores (see `repro.streaming`).
+  * no counter of its own. [[state]] is the record `repro.streaming` stores;
+  * `Serializable` stays only for perfbench's java-serialized size probes.
   *
   * @param periods user-specified seasonality periods m_p (e.g. Seq(7, 28))
-  * @param gamma   seasonality-filter smoothing factor (paper fixes 0.7)
   * @param paperKernel use the paper's ring-dot trend filters instead of the
   *                    sliding ones (Table 2's paper rows and the oracle tests)
   */
-final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.DefaultGamma,
-                      paperKernel: Boolean = false)
-    extends Serializable {
+final class OnlineSTL(periods: Seq[Int], paperKernel: Boolean = false) extends Serializable {
   // The checks read `ps`, not `periods`: a require message closing over a
   // constructor parameter makes scalac keep it as a (serialized) field.
   private val ps = periods.toArray
   require(ps.nonEmpty, "at least one seasonality period is required")
   require(ps.forall(_ >= 2), s"periods must be >= 2, got ${ps.mkString(", ")}")
   require(ps.distinct.length == ps.length, s"periods must be distinct, got ${ps.mkString(", ")}")
-  require(gamma > 0.0 && gamma <= 1.0, s"gamma must be in (0,1], got $gamma")
 
   /** Max seasonality m (paper §5.1 item 3). */
   val m: Int = ps.max
@@ -105,14 +99,14 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
       val trend1 = smooth(w, 2 * p)
       val t1series = minus(w, trend1)
       // 2. smooth cyclic subseries of the detrended series -> K_p, E_{p,S}.
-      val (sSeries, perPhaseS) = SeasonalityFilter.smoothCyclic(t1series, p, gamma)
+      val (sSeries, perPhaseS) = SeasonalityFilter.smoothCyclic(t1series, p)
       System.arraycopy(perPhaseS, 0, ES(pi), 0, p)
       K(pi).pushAll(sSeries)
       // 3. trend of the seasonal series: symmetric, window 3m_p/2; remove it.
       val trendOfSeasonal = smooth(sSeries, math.max(2, 3 * p / 2))
       val d5 = minus(t1series, trendOfSeasonal)
       // 4. smooth cyclic subseries of d5 -> E_{p,T} (the emitted seasonality).
-      val (s2Series, perPhaseT) = SeasonalityFilter.smoothCyclic(d5, p, gamma)
+      val (s2Series, perPhaseT) = SeasonalityFilter.smoothCyclic(d5, p)
       System.arraycopy(perPhaseT, 0, ET(pi), 0, p)
       seasonalSeries(pi) = s2Series
       // 5. deseasonalize the working series for the next period / final trend.
@@ -174,13 +168,13 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
       val t1 = trend(pi, A, 4 * p)
       // lines 7-9: detrend, update E_{p,S}, extend the seasonal series K_p.
       val d1 = b - t1
-      ES(pi)(r) = SeasonalityFilter.step(ES(pi)(r), d1, gamma)
+      ES(pi)(r) = SeasonalityFilter.step(ES(pi)(r), d1)
       feed(k + pi, K(pi), 3 * p, ES(pi)(r))
       // line 11: trend of the seasonal series, window 3m_p.
       val t4 = trend(k + pi, K(pi), 3 * p)
       // lines 12-13: fully detrended value updates E_{p,T}.
       val d5 = b - t1 - t4
-      ET(pi)(r) = SeasonalityFilter.step(ET(pi)(r), d5, gamma)
+      ET(pi)(r) = SeasonalityFilter.step(ET(pi)(r), d5)
       // line 14: deseasonalize b for the next period.
       seas(pi) = ET(pi)(r)
       b -= seas(pi)
@@ -189,6 +183,27 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
     // lines 16-19: final trend from the deseasonalized window, then residual.
     feed(2 * k, D, m, b)
     DecompPoint.additive(g, x, trend(2 * k, D, m), seas)
+  }
+
+  /** A copy of the state (§5.1) as one record; [[OnlineSTL.restore]] inverts it. */
+  def state: OnlineSTL.State = OnlineSTL.State(OnlineSTL.StateVersion, ps.clone(), seen,
+    Array.concat((rings.map(_.toArray) ++ ES ++ ET :+ mom).toIndexedSeq: _*))
+
+  private def rings = A +: K :+ D // a def: java serialization would keep a field
+
+  private def load(st: OnlineSTL.State): OnlineSTL = {
+    require(st.version == OnlineSTL.StateVersion, s"unknown state version ${st.version}")
+    require(st.periods.sameElements(ps),
+      s"state has periods ${st.periods.mkString(", ")}, not ${ps.mkString(", ")}")
+    val held = rings.map(r => if (st.seen >= 4L * m) r.capacity else if (r eq A) st.seen.toInt else 0)
+    val n = held.sum + 2 * ps.sum + mom.length
+    require(st.seen >= 0 && st.values.length == n,
+      s"state holds ${st.values.length} values for seen = ${st.seen}, not $n")
+    val it = st.values.iterator
+    rings.zip(held).foreach { case (r, len) => r.pushAll(Array.fill(len)(it.next())) }
+    (ES ++ ET :+ mom).foreach(a => a.indices.foreach(a(_) = it.next()))
+    seen = st.seen
+    this
   }
 
   // --- trend filters: sliding trackers, or the paper's ring dots ----------
@@ -213,20 +228,16 @@ final class OnlineSTL(periods: Seq[Int], val gamma: Double = SeasonalityFilter.D
 }
 
 object OnlineSTL {
-  /** The state codec: the java-serialized bytes of `stl`, which is what the
-    * streaming deployment stores per key.
-    */
-  def toBytes(stl: OnlineSTL): Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val out = new ObjectOutputStream(bos)
-    out.writeObject(stl)
-    out.close()
-    bos.toByteArray
-  }
+  final val StateVersion = 1 // of State's layout
 
-  /** Inverse of [[toBytes]]. */
-  def fromBytes(bytes: Array[Byte]): OnlineSTL = {
-    val in = new ObjectInputStream(new ByteArrayInputStream(bytes))
-    try in.readObject().asInstanceOf[OnlineSTL] finally in.close()
-  }
+  /** One key's state, the keyed state of the streaming deployment: every ring
+    * oldest first (`A`, each `K_p`, `D`; `K_p` and `D` are empty until init),
+    * then each `E_{p,S}`, each `E_{p,T}` and the tracker moments, verbatim.
+    */
+  final case class State(version: Int, periods: Array[Int], seen: Long, values: Array[Double])
+
+  /** A default-kernel instance that goes on exactly (`==`) where the one that made `st`
+    * stopped. Throws `IllegalArgumentException` unless `st`'s version, periods and length fit.
+    */
+  def restore(periods: Seq[Int], st: State): OnlineSTL = new OnlineSTL(periods).load(st)
 }

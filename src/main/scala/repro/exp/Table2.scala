@@ -12,7 +12,7 @@ import repro.streaming.{DecompRow, MetricEvent, OnlineSTLStreaming}
   * dataflow on local[*]; series/point counts are scaled so each row finishes
   * in under ~1 minute while still exercising full init + online phases per
   * key (DESIGN.md substitution 2). Memory is reported as `stateBytes`, the
-  * serialized state one key holds; `heapUsedGB` is a secondary figure
+  * encoded state record one key holds; `heapUsedGB` is a secondary figure
   * (heap in use without a GC, so it counts garbage too).
   *
   * The paper rows run OnlineSTL with the paper's ring-dot trend filters
@@ -84,13 +84,13 @@ object Table2 {
     }
   }
 
-  /** Serialized bytes of series 0's OnlineSTL after all its points: the
-    * state the streaming deployment keeps per key.
+  /** Bytes of series 0's state record after all its points, as the
+    * streaming deployment's state store keeps it per key.
     */
   private def keyStateBytes(m: Int, points: Int, paperKernel: Boolean): Int = {
     val stl = new OnlineSTL(Seq(m), paperKernel = paperKernel)
     (0 until points).foreach(t => stl.push(TimeSeriesGen.metricPoint(0L, t.toLong, m)))
-    OnlineSTL.toBytes(stl).length
+    OnlineSTLStreaming.stateRowBytes(stl.state)
   }
 
   /** One line per row; sliding-filter rows are marked as beyond the paper

@@ -1,6 +1,9 @@
 package repro.streaming
 
 import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
+import org.apache.spark.sql.catalyst.expressions.UnsafeRow
+import org.apache.spark.sql.catalyst.expressions.objects.{Invoke, UnresolvedMapObjects}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.OnlineSTL
 import repro.data.TimeSeriesGen
@@ -18,7 +21,7 @@ final case class DecompRow(
 /** OnlineSTL as a Spark dataflow — the reproduction of the paper's Flink
   * deployment (§6). The paper runs OnlineSTL as a *stateful keyed map*; the
   * Spark Structured Streaming analogue is `flatMapGroupsWithState` keyed by
-  * series id with an [[OnlineSTL]] instance as managed state. A batch
+  * series id with each key's [[OnlineSTL.State]] as managed state. A batch
   * `flatMapGroups` variant runs the identical per-key code path without
   * micro-batch state-store overhead and is what the Table-2 throughput bench
   * uses (the paper likewise disables checkpointing when measuring
@@ -64,11 +67,25 @@ object OnlineSTLStreaming {
     i >= es.length
   }
 
-  /** Structured Streaming decomposition: keyed state = the java-serialized
-    * OnlineSTL (the analogue of Flink managed keyed state; serialization per
-    * micro-batch mirrors Flink state backends). The state is kept as exactly
-    * the serialized bytes: `Encoders.javaSerialization` would store the
-    * serializer's whole output buffer, up to twice the state's size.
+  /** [[OnlineSTL.State]]'s product encoder, minus the boxed element-by-element copy
+    * Spark's deserializer makes of each array. The state operator never optimizes that
+    * copy away, and its fresh lambda variable misses the codegen cache, so every
+    * micro-batch compiled a new class and ran it cold. `toDoubleArray` copies at once.
+    */
+  private[repro] implicit val stateEncoder: ExpressionEncoder[OnlineSTL.State] = {
+    val e = ExpressionEncoder[OnlineSTL.State]()
+    e.copy(objDeserializer = e.objDeserializer.transformUp {
+      case i @ Invoke(u: UnresolvedMapObjects, _, _, _, _, _, _, _) => i.copy(targetObject = u.child)
+    })
+  }
+
+  /** Bytes of `st` as the state store keeps it: the `UnsafeRow` it encodes to. */
+  private[repro] def stateRowBytes(st: OnlineSTL.State): Int =
+    stateEncoder.createSerializer()(st).asInstanceOf[UnsafeRow].getSizeInBytes
+
+  /** Structured Streaming decomposition: keyed state = each key's [[OnlineSTL.State]]
+    * under Spark's product encoder (the analogue of Flink's typed managed keyed state).
+    * A restart with other `periods` than the checkpoint's fails on the first key with state.
     *
     * State partitions = task slots: the state operator gets one per
     * `spark.sql.shuffle.partitions`, each committing a state-store version
@@ -85,10 +102,10 @@ object OnlineSTLStreaming {
     events
       .groupByKey(_.seriesId)
       .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
-        (key: Long, it: Iterator[MetricEvent], state: GroupState[Array[Byte]]) =>
-          val stl = state.getOption.map(OnlineSTL.fromBytes).getOrElse(new OnlineSTL(periods))
+        (key: Long, it: Iterator[MetricEvent], state: GroupState[OnlineSTL.State]) =>
+          val stl = state.getOption.map(OnlineSTL.restore(periods, _)).getOrElse(new OnlineSTL(periods))
           val out = processKey(key, it, stl).toVector
-          state.update(OnlineSTL.toBytes(stl))
+          state.update(stl.state)
           out.iterator
       }
   }

@@ -18,8 +18,6 @@ class OnlineSTLSpec extends SparkSpec {
     intercept[IllegalArgumentException](new OnlineSTL(Seq.empty))
     intercept[IllegalArgumentException](new OnlineSTL(Seq(1)))
     intercept[IllegalArgumentException](new OnlineSTL(Seq(7, 7)))
-    intercept[IllegalArgumentException](new OnlineSTL(Seq(7), gamma = 0.0))
-    intercept[IllegalArgumentException](new OnlineSTL(Seq(7), gamma = 1.5))
   }
 
   test("m is the maximum seasonality") {
@@ -138,26 +136,21 @@ class OnlineSTLSpec extends SparkSpec {
   test("state space is O(4m): serialized size independent of points seen") {
     def sizeAfter(periods: Seq[Int], points: Int): Int = {
       val stl = new OnlineSTL(periods)
-      val xs = seasonalSeries(points, periods.max, 0.01, 1.0, 0.1, 4)
-      xs.foreach(stl.push)
-      OnlineSTL.toBytes(stl).length
+      seasonalSeries(points, periods.max, 0.01, 1.0, 0.1, 4).foreach(stl.push)
+      stl.state.values.length
     }
-    val m = 20
-    val s1 = sizeAfter(Seq(m), 4 * m + 10)
-    val s2 = sizeAfter(Seq(m), 4 * m + 5000)
-    assert(math.abs(s1 - s2) < 1000, s"state grew with stream length: $s1 vs $s2")
-    // warm-up points live in the 4m window itself, so state does not peak before init
-    val s0 = sizeAfter(Seq(m), 4 * m - 1)
-    assert(s0 <= s1, s"warm-up state larger than steady state: $s0 vs $s1")
-    // A (4m) + K_p (3m_p) + E_{p,S}, E_{p,T} (m_p each) + D (m) doubles, plus
+    // A (4m) + K_p (3m_p) + D (m) + E_{p,S}, E_{p,T} (m_p each) doubles, plus
     // the sliding trend trackers (Slots doubles for each of A per period, K_p
-    // and D); 1,000 B covers the class descriptors (591 B here). The bound,
-    // 3,960 B, is below the 4,020 B it was before the trackers.
-    val ps = Seq(7, 28)
-    val trackers = 2 * ps.size + 1
-    val bound = 8 * (4 * ps.max + 5 * ps.sum + ps.max + SlidingTricube.Slots * trackers) + 1000
-    val s3 = sizeAfter(ps, 4 * ps.max + 100)
-    assert(s3 <= bound, s"state for periods $ps is $s3 B, above $bound B")
+    // and D), exactly, however many points were seen.
+    for (ps <- Seq(Seq(20), Seq(7, 28))) {
+      val m = ps.max
+      val exact = 4 * m + 5 * ps.sum + m + SlidingTricube.Slots * (2 * ps.size + 1)
+      for (points <- Seq(4 * m, 4 * m + 10, 4 * m + 5000))
+        assert(sizeAfter(ps, points) == exact, s"periods $ps after $points points")
+      // warm-up points live in the 4m window itself, so state does not peak before init
+      for (points <- Seq(0, 1, 2 * m, 4 * m - 1))
+        assert(sizeAfter(ps, points) <= exact, s"periods $ps after $points points")
+    }
   }
 
   test("serialized state resumes identically (streaming checkpoint semantics)") {
@@ -172,7 +165,8 @@ class OnlineSTLSpec extends SparkSpec {
          cut <- Seq(2 * m, 4 * m - 1, 4 * m + 30, refresh - 1, refresh, refresh + 1)) {
       val stl = new OnlineSTL(periods)
       xs.take(cut).foreach(stl.push)
-      val copy = OnlineSTL.fromBytes(OnlineSTL.toBytes(stl))
+      val copy = OnlineSTL.restore(periods, stl.state)
+      assert(copy.pointsSeen == stl.pointsSeen)
       for (i <- cut until xs.length) {
         val a = stl.push(xs(i))
         val b = copy.push(xs(i))
@@ -184,6 +178,43 @@ class OnlineSTLSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  test("restore rejects a record whose version, periods or length does not match") {
+    val xs = seasonalSeries(4 * 28 + 3, 28, 0.01, 1.0, 0.1, 7)
+    def stateOf(stl: OnlineSTL): OnlineSTL.State = { xs.foreach(stl.push); stl.state }
+    val ps = Seq(5, 10, 28)
+    val st = stateOf(new OnlineSTL(ps))
+    assert(OnlineSTL.restore(ps, st).pointsSeen == st.seen)
+    // (7, 8, 28) shares m and Σm_p with (5, 10, 28): its records are as long,
+    // so only the periods tell them apart.
+    val other = Seq(7, 8, 28)
+    assert(stateOf(new OnlineSTL(other)).values.length == st.values.length)
+    def rejected(periods: Seq[Int], bad: OnlineSTL.State, what: String): Unit = {
+      val e = intercept[IllegalArgumentException](OnlineSTL.restore(periods, bad))
+      assert(e.getMessage.contains(what), e.getMessage)
+    }
+    rejected(ps, st.copy(version = st.version + 1), "version")
+    rejected(other, st, "periods")
+    rejected(ps.reverse, st, "periods")
+    rejected(ps, st.copy(values = st.values.init), "values")
+    rejected(ps, st.copy(values = st.values :+ 0.0), "values")
+    rejected(ps, st.copy(seen = 4L * 28 - 1), "values") // a warm-up record is shorter
+    rejected(ps, st.copy(seen = -1L), "seen")
+    // the paper kernel keeps no moments, so its records do not restore
+    rejected(ps, stateOf(new OnlineSTL(ps, paperKernel = true)), "values")
+  }
+
+  test("OnlineSTL stays java-serializable after init (perfbench reads its size)") {
+    val stl = new OnlineSTL(Seq(7, 28))
+    seasonalSeries(4 * 28 + 3, 28, 0.01, 1.0, 0.1, 8).foreach(stl.push)
+    val out = new java.io.ObjectOutputStream(new java.io.ByteArrayOutputStream())
+    try out.writeObject(stl)
+    catch {
+      case e: java.io.NotSerializableException =>
+        fail("perfbench's BatchBench.keyStateBytes and CoreProbe.serializedBytes java-serialize an " +
+          "OnlineSTL to report state_bytes_per_key (batch) and core.stl.state_serialized_bytes", e)
+    } finally out.close()
   }
 
   /** Default (sliding) OnlineSTL against the paper-kernel one on every
@@ -222,17 +253,6 @@ class OnlineSTLSpec extends SparkSpec {
     val xs = Array.tabulate(40 * 28)(t =>
       1e6 + 2.0 * math.sin(2 * math.Pi * t / 7) + 5.0 * math.sin(2 * math.Pi * t / 28) + rng.nextGaussian())
     assertMatchesPaperKernel(Seq(7, 28), xs)
-  }
-
-  test("gamma extremes still produce valid decompositions") {
-    val m = 8
-    val xs = seasonalSeries(4 * m + 40, m, 0.0, 2.0, 0.2, 6)
-    for (g <- Seq(0.01, 0.5, 1.0)) {
-      val d = new OnlineSTL(Seq(m), gamma = g).decomposeAll(xs.clone())
-      assert(d.n == xs.length)
-      for (i <- xs.indices)
-        assert(math.abs(d.trend(i) + d.seasonals.map(_(i)).sum + d.residual(i) - xs(i)) < 1e-9)
-    }
   }
 
   test("beats the seasonal-naive baseline on MASE for a clean seasonal series") {

@@ -6,12 +6,12 @@ import scala.util.Random
 class SeasonalityFilterSpec extends SparkSpec {
 
   test("step implements gamma*d + (1-gamma)*estimate") {
-    assert(math.abs(SeasonalityFilter.step(10.0, 20.0, 0.7) - (0.7 * 20 + 0.3 * 10)) < 1e-12)
-    assert(SeasonalityFilter.step(5.0, 5.0, 0.3) == 5.0)
+    assert(math.abs(SeasonalityFilter.step(10.0, 20.0) - (0.7 * 20 + 0.3 * 10)) < 1e-12)
+    assert(SeasonalityFilter.step(5.0, 5.0) == 5.0)
   }
 
   test("default gamma is the paper's 0.7") {
-    assert(SeasonalityFilter.DefaultGamma == 0.7)
+    assert(SeasonalityFilter.Gamma == 0.7)
   }
 
   test("smoothCyclic on a perfectly periodic series converges to the pattern") {
@@ -36,23 +36,10 @@ class SeasonalityFilterSpec extends SparkSpec {
     val m = 2
     val xs = Array(1.0, 0.0, 2.0, 0.0, 4.0, 0.0) // phase 0 sees 1, 2, 4
     val g = 0.7
-    val (_, perPhase) = SeasonalityFilter.smoothCyclic(xs, m, g)
+    val (_, perPhase) = SeasonalityFilter.smoothCyclic(xs, m)
     val expected = g * 4 + (1 - g) * (g * 2 + (1 - g) * 1.0)
     assert(math.abs(perPhase(0) - expected) < 1e-12)
     assert(perPhase(1) == 0.0)
-  }
-
-  test("phase0 shifts the cyclic assignment") {
-    val m = 3
-    val xs = Array(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    val (_, p0) = SeasonalityFilter.smoothCyclic(xs, m, phase0 = 0)
-    val (_, p1) = SeasonalityFilter.smoothCyclic(xs, m, phase0 = 1)
-    // with phase0=1, element 0 belongs to phase 1, so phase 1's estimate
-    // starts from xs(0) instead of xs(1)
-    assert(p0(0) != p1(0) || p0(1) != p1(1))
-    // and the estimates are a rotation-consistent reassignment
-    val g = SeasonalityFilter.DefaultGamma
-    assert(math.abs(p1(1) - (g * 4.0 + (1 - g) * 1.0)) < 1e-12)
   }
 
   test("rejects non-positive period") {
@@ -70,17 +57,5 @@ class SeasonalityFilterSpec extends SparkSpec {
       }
       assert(series.length == xs.length)
     }
-  }
-
-  test("gamma = 1 means no memory: estimate equals latest observation") {
-    val m = 3
-    val rng = new Random(1)
-    val xs = Array.fill(30)(rng.nextDouble())
-    val (series, perPhase) = SeasonalityFilter.smoothCyclic(xs, m, gamma = 1.0)
-    for (r <- 0 until m) {
-      val lastOfPhase = xs.indices.filter(_ % m == r).map(xs).last
-      assert(perPhase(r) == lastOfPhase)
-    }
-    assert(series.toSeq == xs.toSeq)
   }
 }

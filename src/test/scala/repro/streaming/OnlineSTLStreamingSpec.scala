@@ -4,8 +4,9 @@ import java.nio.file.Files
 import java.util.Comparator
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.catalyst.expressions.objects.UnresolvedMapObjects
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
-import org.apache.spark.sql.streaming.{OutputMode, StreamingQuery}
+import org.apache.spark.sql.streaming.{OutputMode, StreamingQuery, StreamingQueryException}
 import repro.SparkSpec
 import repro.core.OnlineSTL
 import repro.data.TimeSeriesGen
@@ -153,6 +154,36 @@ class OnlineSTLStreamingSpec extends SparkSpec {
       assert(ts.distinct.size == ts.size, s"a ts of key $s was emitted twice")
       assertMatchesReference(s, got, total)
     }
+  }
+
+  test("a restart on a checkpoint with other periods fails instead of keeping the old ones") {
+    import spark.implicits._
+    implicit val sqlCtx = spark.sqlContext
+    val checkpointDir = Files.createTempDirectory("onlinestl-ckpt")
+    val stream = MemoryStream[MetricEvent]
+    def start(periods: Seq[Int]) = OnlineSTLStreaming.decomposeStream(stream.toDS(), periods)
+      .writeStream.option("checkpointLocation", checkpointDir.toString).format("noop").start()
+    try {
+      val first = start(Seq(period))
+      val mid = try feed(stream, first, 0, Seq(4 * period + 3)) finally first.stop()
+      val second = start(Seq(period / 2, period))
+      try {
+        val e = intercept[StreamingQueryException](feed(stream, second, mid, Seq(5)))
+        val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+        assert(messages.exists(m => m != null && m.contains(s"state has periods $period")), e)
+      } finally second.stop()
+    } finally Files.walk(checkpointDir).sorted(Comparator.reverseOrder()).forEach(p => Files.delete(p))
+  }
+
+  test("the state encoder reads the record's arrays back in one copy each") {
+    // Spark's default deserializer copies an array element by element, and in
+    // the state operator that copy compiled a new class every micro-batch.
+    val enc = OnlineSTLStreaming.stateEncoder
+    assert(!enc.objDeserializer.exists(_.isInstanceOf[UnresolvedMapObjects]), enc.objDeserializer)
+    val st = OnlineSTL.State(OnlineSTL.StateVersion, Array(3, 8), 7L, Array(1.5, -2.0, Double.MinPositiveValue))
+    val back = enc.resolveAndBind().createDeserializer()(enc.createSerializer()(st))
+    assert(back.version == st.version && back.periods.toSeq == st.periods.toSeq && back.seen == st.seen)
+    assert(back.values.toSeq == st.values.toSeq)
   }
 
   test("non-finite values are skipped and never poison a key (batch and streaming)") {
