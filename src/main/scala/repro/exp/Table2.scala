@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.OnlineSTL
 import repro.data.TimeSeriesGen
-import repro.streaming.{DecompRow, MetricEvent, OnlineSTLStreaming}
+import repro.streaming.{DecompRow, KeyEvents, MetricEvent, OnlineSTLStreaming}
 
 /** Table 2 — distributed-dataflow performance of OnlineSTL vs seasonality
   * (10 / 100 / 1000 / 10000). The paper runs 100K series on a 128-vCPU Flink
@@ -76,11 +76,11 @@ object Table2 {
     }
   }
 
-  /** `OnlineSTLStreaming.decomposeBatch` with the trend filters chosen. */
+  /** `OnlineSTLStreaming.decomposeBatch`'s dataflow with the trend filters chosen. */
   private def decompose(events: Dataset[MetricEvent], m: Int, paperKernel: Boolean): Dataset[DecompRow] = {
     import events.sparkSession.implicits._
-    events.groupByKey(_.seriesId).flatMapGroups { (key: Long, it: Iterator[MetricEvent]) =>
-      OnlineSTLStreaming.processKey(key, it, new OnlineSTL(Seq(m), paperKernel = paperKernel))
+    OnlineSTLStreaming.byKey(events).flatMapGroups { (key: Long, chunks: Iterator[KeyEvents]) =>
+      OnlineSTLStreaming.processKey(key, chunks, new OnlineSTL(Seq(m), paperKernel = paperKernel))
     }
   }
 

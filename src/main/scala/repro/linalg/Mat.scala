@@ -23,20 +23,6 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) {
     y
   }
 
-  /** y = thisᵀ * x. */
-  def tmv(x: Array[Double]): Array[Double] = {
-    require(x.length == rows, s"dim mismatch: $rows vs ${x.length}")
-    val y = new Array[Double](cols)
-    var i = 0
-    while (i < rows) {
-      val xi = x(i); val off = i * cols
-      var j = 0
-      while (j < cols) { y(j) += a(off + j) * xi; j += 1 }
-      i += 1
-    }
-    y
-  }
-
   def copy: Mat = new Mat(rows, cols, a.clone())
 }
 
@@ -47,26 +33,6 @@ object Mat {
     val m = zeros(n, n)
     var i = 0; while (i < n) { m(i, i) = 1.0; i += 1 }
     m
-  }
-
-  /** Dense C = A * B (used only for small TBATS transition products). */
-  def mm(x: Mat, y: Mat): Mat = {
-    require(x.cols == y.rows, s"dim mismatch: ${x.cols} vs ${y.rows}")
-    val c = zeros(x.rows, y.cols)
-    var i = 0
-    while (i < x.rows) {
-      var kk = 0
-      while (kk < x.cols) {
-        val v = x(i, kk)
-        if (v != 0.0) {
-          var j = 0
-          while (j < y.cols) { c(i, j) += v * y(kk, j); j += 1 }
-        }
-        kk += 1
-      }
-      i += 1
-    }
-    c
   }
 }
 
@@ -80,7 +46,6 @@ object Vec {
   def axpy(alpha: Double, x: Array[Double], y: Array[Double]): Unit = {
     var i = 0; while (i < x.length) { y(i) += alpha * x(i); i += 1 }
   }
-  def norm2(x: Array[Double]): Double = math.sqrt(dot(x, x))
   def sub(x: Array[Double], y: Array[Double]): Array[Double] =
     Array.tabulate(x.length)(i => x(i) - y(i))
 }

@@ -1,6 +1,8 @@
 package repro.streaming
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import scala.collection.AbstractIterator
+import scala.collection.mutable
+import org.apache.spark.sql.{Dataset, KeyValueGroupedDataset, SparkSession}
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.catalyst.expressions.UnsafeRow
 import org.apache.spark.sql.catalyst.expressions.objects.{Invoke, UnresolvedMapObjects}
@@ -10,6 +12,11 @@ import repro.data.TimeSeriesGen
 
 /** A single metric observation on the stream: one value of one time series. */
 final case class MetricEvent(seriesId: Long, ts: Long, value: Double)
+
+/** One key's events from one map partition, as columns in arrival order:
+  * event i is `(seriesId, ts(i), values(i))`.
+  */
+final case class KeyEvents(seriesId: Long, ts: Array[Long], values: Array[Double])
 
 /** One decomposed point, flattened for Spark SQL friendliness.
   * `seasonals` is per-period; `seasonal` is their sum.
@@ -29,55 +36,107 @@ final case class DecompRow(
   */
 object OnlineSTLStreaming {
 
-  /** Per-key processing shared by the batch and streaming paths: feed events
-    * in timestamp order into the keyed OnlineSTL state. The init back-fill
+  /** Events a [[pack]] task holds before it emits its rows and starts over,
+    * whatever the size of its partition.
+    */
+  private[repro] val PackEvents = 1 << 16
+
+  /** The map-side combiner ahead of the one keyed shuffle: one partition's
+    * events as one [[KeyEvents]] row per key per [[PackEvents]] events held,
+    * each key's columns in arrival order.
+    *
+    * Events whose value is not finite (NaN, ±∞) are dropped here: pushed, one
+    * would stay in the exponential smoothing `E_{p,S}`/`E_{p,T}` and turn every
+    * later trend and seasonal value into NaN. A dropped point shifts the phase
+    * like a missing point does (the phase is the count of points pushed,
+    * mod m_p); phase-preserving imputation is not done.
+    */
+  private[repro] def pack(events: Iterator[MetricEvent]): Iterator[KeyEvents] = {
+    val finite = events.filter(e => java.lang.Double.isFinite(e.value))
+    Iterator.continually {
+      val cols = mutable.LongMap.empty[(mutable.ArrayBuilder.ofLong, mutable.ArrayBuilder.ofDouble)]
+      var held = 0
+      while (held < PackEvents && finite.hasNext) {
+        val e = finite.next()
+        val (ts, xs) = cols.getOrElseUpdate(e.seriesId, (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofDouble))
+        ts += e.ts; xs += e.value
+        held += 1
+      }
+      cols
+    }.takeWhile(_.nonEmpty).flatMap(_.iterator.map { case (key, (ts, xs)) => KeyEvents(key, ts.result(), xs.result()) })
+  }
+
+  /** Per-key ingest shared by the batch and streaming paths: the key's
+    * [[pack]]ed chunks, concatenated in arrival order, pushed in `ts` order
+    * into the keyed OnlineSTL. Input already in `ts` order is pushed as it
+    * comes, from the primitive columns; other input gets a stable index sort,
+    * so events with equal `ts` keep their arrival order. The init back-fill
     * rows get timestamps counted back from the event that completes the
     * warm-up, which assumes consecutive integer `ts` (0, 1, 2, …).
-    *
-    * Events whose value is not finite (NaN, ±∞) are skipped and emit no
-    * row: pushed, one would stay in the exponential smoothing `E_{p,S}`/
-    * `E_{p,T}` and turn every later trend and seasonal value into NaN. A
-    * skipped point shifts the phase like a missing point does (the phase
-    * is the count of points pushed, mod m_p); phase-preserving imputation
-    * is not done here.
-    *
-    * Events with equal `ts` keep their arrival order (the sort is stable),
-    * and input already in `ts` order is not sorted at all.
     */
-  private[repro] def processKey(key: Long, events: Iterator[MetricEvent],
+  private[repro] def processKey(key: Long, chunks: Iterator[KeyEvents],
                                 stl: OnlineSTL): Iterator[DecompRow] = {
-    val sorted = events.filter(e => java.lang.Double.isFinite(e.value)).toArray
-    if (!inTsOrder(sorted)) java.util.Arrays.sort(sorted, byTs)
-    sorted.iterator.flatMap { e =>
-      stl.push(e.value).map { p =>
-        // p.index counts points within the series; init back-fill points map
-        // onto the earliest timestamps of this key.
-        val ts = e.ts - (stl.pointsSeen - 1 - p.index)
-        DecompRow(key, ts, p.value, p.trend, p.seasonals.toSeq, p.seasonalSum, p.residual)
+    val (ts, xs) = inTsOrder(chunks.toVector)
+    // p.index counts points within the series; init back-fill points map
+    // onto the earliest timestamps of this key.
+    def rows(i: Int): Iterator[DecompRow] = stl.push(xs(i)).map { p =>
+      DecompRow(key, ts(i) - (stl.pointsSeen - 1 - p.index), p.value, p.trend, p.seasonals.toSeq,
+                p.seasonalSum, p.residual)
+    }.iterator
+    // A loop, not `Iterator.range(…).flatMap(rows)`, which boxes every index.
+    new AbstractIterator[DecompRow] {
+      private var i = 0
+      private var pending: Iterator[DecompRow] = Iterator.empty
+      def hasNext: Boolean = {
+        while (!pending.hasNext && i < ts.length) { pending = rows(i); i += 1 }
+        pending.hasNext
       }
+      def next(): DecompRow = if (hasNext) pending.next() else Iterator.empty.next()
     }
   }
 
-  // A comparator on the primitive `ts`: `sortBy(_.ts)` boxes both per compare.
-  private val byTs: java.util.Comparator[MetricEvent] = (a, b) => java.lang.Long.compare(a.ts, b.ts)
-
-  private def inTsOrder(es: Array[MetricEvent]): Boolean = {
-    var i = 1
-    while (i < es.length && es(i - 1).ts <= es(i).ts) i += 1
-    i >= es.length
+  /** The chunks' columns concatenated in arrival order, then stably sorted by `ts` unless already in order. */
+  private def inTsOrder(chunks: Seq[KeyEvents]): (Array[Long], Array[Double]) = {
+    val ts = Array.concat(chunks.map(_.ts): _*)
+    val xs = Array.concat(chunks.map(_.values): _*)
+    if (inOrder(ts)) (ts, xs)
+    else {
+      val order = Array.range(0, ts.length).sortBy(ts(_))
+      (order.map(ts(_)), order.map(xs(_)))
+    }
   }
 
-  /** [[OnlineSTL.State]]'s product encoder, minus the boxed element-by-element copy
-    * Spark's deserializer makes of each array. The state operator never optimizes that
-    * copy away, and its fresh lambda variable misses the codegen cache, so every
-    * micro-batch compiled a new class and ran it cold. `toDoubleArray` copies at once.
+  private def inOrder(ts: Array[Long]): Boolean = {
+    var i = 1
+    while (i < ts.length && ts(i - 1) <= ts(i)) i += 1
+    i >= ts.length
+  }
+
+  /** The one keyed shuffle of both dataflows: [[pack]] in each map partition,
+    * then one group per series id.
     */
-  private[repro] implicit val stateEncoder: ExpressionEncoder[OnlineSTL.State] = {
-    val e = ExpressionEncoder[OnlineSTL.State]()
+  private[repro] def byKey(events: Dataset[MetricEvent]): KeyValueGroupedDataset[Long, KeyEvents] = {
+    import events.sparkSession.implicits._
+    events.mapPartitions(pack)(keyEventsEncoder).groupByKey(_.seriesId)
+  }
+
+  /** `e` minus the boxed element-by-element copy Spark's deserializer makes of
+    * each array: `toDoubleArray`/`toLongArray`/`toIntArray` copy at once. In the
+    * state operator that copy was never optimized away, and its fresh lambda
+    * variable missed the codegen cache, so every micro-batch compiled a new
+    * class and ran it cold.
+    */
+  private def bulkArrays[T](e: ExpressionEncoder[T]): ExpressionEncoder[T] =
     e.copy(objDeserializer = e.objDeserializer.transformUp {
       case i @ Invoke(u: UnresolvedMapObjects, _, _, _, _, _, _, _) => i.copy(targetObject = u.child)
     })
-  }
+
+  /** [[OnlineSTL.State]]'s product encoder, arrays read back in one copy each. */
+  private[repro] implicit val stateEncoder: ExpressionEncoder[OnlineSTL.State] =
+    bulkArrays(ExpressionEncoder[OnlineSTL.State]())
+
+  /** [[KeyEvents]]'s product encoder, arrays read back in one copy each. */
+  private[repro] val keyEventsEncoder: ExpressionEncoder[KeyEvents] = bulkArrays(ExpressionEncoder[KeyEvents]())
 
   /** Bytes of `st` as the state store keeps it: the `UnsafeRow` it encodes to. */
   private[repro] def stateRowBytes(st: OnlineSTL.State): Int =
@@ -86,6 +145,9 @@ object OnlineSTLStreaming {
   /** Structured Streaming decomposition: keyed state = each key's [[OnlineSTL.State]]
     * under Spark's product encoder (the analogue of Flink's typed managed keyed state).
     * A restart with other `periods` than the checkpoint's fails on the first key with state.
+    * Each micro-batch's events reach a key through [[byKey]]: [[pack]] drops the non-finite
+    * ones and packs the rest per key and partition, and [[processKey]] pushes them in `ts`
+    * order after the key's earlier batches.
     *
     * State partitions = task slots: the state operator gets one per
     * `spark.sql.shuffle.partitions`, each committing a state-store version
@@ -99,28 +161,25 @@ object OnlineSTLStreaming {
   def decomposeStream(events: Dataset[MetricEvent], periods: Seq[Int]): Dataset[DecompRow] = {
     val spark = events.sparkSession
     import spark.implicits._
-    events
-      .groupByKey(_.seriesId)
+    byKey(events)
       .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
-        (key: Long, it: Iterator[MetricEvent], state: GroupState[OnlineSTL.State]) =>
+        (key: Long, chunks: Iterator[KeyEvents], state: GroupState[OnlineSTL.State]) =>
           val stl = state.getOption.map(OnlineSTL.restore(periods, _)).getOrElse(new OnlineSTL(periods))
-          val out = processKey(key, it, stl).toVector
+          val out = processKey(key, chunks, stl).toVector
           state.update(stl.state)
           out.iterator
       }
   }
 
-  /** Batch dataflow over a bounded event set — same per-key code path, used
-    * for throughput measurement.
+  /** Batch dataflow over a bounded event set — same shuffle ([[byKey]]) and
+    * per-key code path, used for throughput measurement.
     */
   def decomposeBatch(events: Dataset[MetricEvent], periods: Seq[Int]): Dataset[DecompRow] = {
     val spark = events.sparkSession
     import spark.implicits._
-    events
-      .groupByKey(_.seriesId)
-      .flatMapGroups { (key: Long, it: Iterator[MetricEvent]) =>
-        processKey(key, it, new OnlineSTL(periods))
-      }
+    byKey(events).flatMapGroups { (key: Long, chunks: Iterator[KeyEvents]) =>
+      processKey(key, chunks, new OnlineSTL(periods))
+    }
   }
 
   /** Deterministic synthetic metric stream: `nSeries` keys, `pointsPerSeries`

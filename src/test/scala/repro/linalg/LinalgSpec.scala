@@ -3,6 +3,28 @@ package repro.linalg
 import repro.SparkSpec
 import scala.util.Random
 
+/** Products and norms only the tests use. */
+private object TestLinalg {
+  /** y = mᵀ * x. */
+  def tmv(m: Mat, x: Array[Double]): Array[Double] = {
+    require(x.length == m.rows, s"dim mismatch: ${m.rows} vs ${x.length}")
+    val y = new Array[Double](m.cols)
+    for (i <- 0 until m.rows; j <- 0 until m.cols) y(j) += m(i, j) * x(i)
+    y
+  }
+
+  /** Dense C = A * B. */
+  def mm(x: Mat, y: Mat): Mat = {
+    require(x.cols == y.rows, s"dim mismatch: ${x.cols} vs ${y.rows}")
+    val c = Mat.zeros(x.rows, y.cols)
+    for (i <- 0 until x.rows; k <- 0 until x.cols; j <- 0 until y.cols) c(i, j) += x(i, k) * y(k, j)
+    c
+  }
+
+  def norm2(x: Array[Double]): Double = math.sqrt(Vec.dot(x, x))
+}
+import TestLinalg._
+
 class MatSpec extends SparkSpec {
 
   test("apply/update round-trip") {
@@ -26,22 +48,22 @@ class MatSpec extends SparkSpec {
 
   test("tmv computes transpose matvec") {
     val m = new Mat(2, 3, Array(1, 2, 3, 4, 5, 6).map(_.toDouble))
-    val y = m.tmv(Array(1.0, 2.0))
+    val y = tmv(m, Array(1.0, 2.0))
     assert(y.toSeq == Seq(1.0 + 8.0, 2.0 + 10.0, 3.0 + 12.0))
   }
 
   test("mm matches manual small product") {
     val a = new Mat(2, 2, Array(1.0, 2.0, 3.0, 4.0))
     val b = new Mat(2, 2, Array(0.0, 1.0, 1.0, 0.0))
-    val c = Mat.mm(a, b)
+    val c = mm(a, b)
     assert(c(0, 0) == 2.0 && c(0, 1) == 1.0 && c(1, 0) == 4.0 && c(1, 1) == 3.0)
   }
 
   test("dimension mismatches are rejected") {
     val m = Mat.zeros(2, 3)
     intercept[IllegalArgumentException](m.mv(new Array[Double](2)))
-    intercept[IllegalArgumentException](m.tmv(new Array[Double](3)))
-    intercept[IllegalArgumentException](Mat.mm(Mat.zeros(2, 3), Mat.zeros(2, 3)))
+    intercept[IllegalArgumentException](tmv(m, new Array[Double](3)))
+    intercept[IllegalArgumentException](mm(Mat.zeros(2, 3), Mat.zeros(2, 3)))
   }
 
   test("Vec helpers: dot, axpy, norm2, sub") {
@@ -49,7 +71,7 @@ class MatSpec extends SparkSpec {
     val y = Array(1.0, 1.0)
     Vec.axpy(2.0, Array(1.0, -1.0), y)
     assert(y.toSeq == Seq(3.0, -1.0))
-    assert(math.abs(Vec.norm2(Array(3.0, 4.0)) - 5.0) < 1e-12)
+    assert(math.abs(norm2(Array(3.0, 4.0)) - 5.0) < 1e-12)
     assert(Vec.sub(Array(5.0, 1.0), Array(2.0, 1.0)).toSeq == Seq(3.0, 0.0))
   }
 }
@@ -71,8 +93,8 @@ class QRSpec extends SparkSpec {
     val x = QR.solveLeastSquares(a, b)
     // residual must be orthogonal to the column space: Aᵀ(Ax - b) = 0
     val r = Vec.sub(a.mv(x), b)
-    val g = a.tmv(r)
-    assert(Vec.norm2(g) < 1e-8, s"gradient norm ${Vec.norm2(g)}")
+    val g = tmv(a, r)
+    assert(norm2(g) < 1e-8, s"gradient norm ${norm2(g)}")
   }
 
   for (trial <- 1 to 5) {

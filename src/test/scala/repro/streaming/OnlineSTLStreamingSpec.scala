@@ -7,6 +7,7 @@ import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.catalyst.expressions.objects.UnresolvedMapObjects
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.{OutputMode, StreamingQuery, StreamingQueryException}
+import org.scalacheck.{Gen, Prop, Test => Check}
 import repro.SparkSpec
 import repro.core.OnlineSTL
 import repro.data.TimeSeriesGen
@@ -82,12 +83,76 @@ class OnlineSTLStreamingSpec extends SparkSpec {
     }
     val shuffled = new scala.util.Random(4).shuffle(events)
     def run(es: Seq[MetricEvent]) =
-      OnlineSTLStreaming.processKey(0L, es.iterator, new OnlineSTL(Seq(period))).toVector
+      OnlineSTLStreaming.processKey(0L, OnlineSTLStreaming.pack(es.iterator), new OnlineSTL(Seq(period))).toVector
     val expected = run(shuffled.sortBy(_.ts))
     assert(run(shuffled) == expected)
     // input already in ts order is taken as it comes
     assert(run(shuffled.sortBy(_.ts)) == expected)
     assert(expected.map(_.value) == shuffled.sortBy(_.ts).map(_.value))
+  }
+
+  test("property: processKey over any packing of a key's events equals it over the events in ts order") {
+    val case_ = for {
+      n <- Gen.frequency(9 -> Gen.choose(0, 12 * period), 1 -> Gen.const(2 * OnlineSTLStreaming.PackEvents + 37))
+      parts <- Gen.choose(1, 5)
+      shuffled <- Gen.oneOf(true, false)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (n, parts, shuffled, seed)
+    val prop = Prop.forAll(case_) { case (n, parts, shuffled, seed) =>
+      val rng = new scala.util.Random(seed)
+      // Keys 0-2 interleaved; an eighth of the events repeat their key's last
+      // ts with another value, and one in sixteen values is NaN or ±inf.
+      val next = Array.fill(3)(0L)
+      val events = (0 until n).map { _ =>
+        val k = rng.nextInt(3)
+        val ts = if (next(k) > 0 && rng.nextInt(8) == 0) next(k) - 1 else { next(k) += 1; next(k) - 1 }
+        val x = rng.nextInt(48) match {
+          case 0 => Double.NaN
+          case 1 => Double.PositiveInfinity
+          case 2 => Double.NegativeInfinity
+          case _ => TimeSeriesGen.metricPoint(k.toLong, ts, period) + rng.nextGaussian()
+        }
+        MetricEvent(k.toLong, ts, x)
+      }
+      val arrived = if (shuffled) rng.shuffle(events) else events
+      val cuts = (Seq.fill(parts - 1)(rng.nextInt(n + 1)) :+ 0 :+ n).sorted
+      val chunks = cuts.sliding(2).flatMap(c => OnlineSTLStreaming.pack(arrived.slice(c(0), c(1)).iterator)).toVector
+      val finite = arrived.filter(e => java.lang.Double.isFinite(e.value))
+      assert(chunks.map(_.ts.length).sum == finite.size)
+      assert(chunks.forall(c => c.ts.length == c.values.length && c.ts.length <= OnlineSTLStreaming.PackEvents))
+      (0L until 3L).forall { k =>
+        def run(cs: Seq[KeyEvents]) = OnlineSTLStreaming.processKey(k, cs.iterator, new OnlineSTL(Seq(period))).toVector
+        val inOrder = finite.filter(_.seriesId == k).sortBy(_.ts)
+        run(chunks.filter(_.seriesId == k)) == run(Seq(KeyEvents(k, inOrder.map(_.ts).toArray, inOrder.map(_.value).toArray)))
+      }
+    }
+    val result = Check.check(Check.Parameters.default.withInitialSeed(9L), prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("property: on finite, in-order input, decomposeBatch equals the sequential OnlineSTL for any repartition") {
+    import spark.implicits._
+    val case_ = for {
+      keys <- Gen.choose(1, 4)
+      n <- Gen.choose(0, 8 * period)
+      parts <- Gen.choose(1, 9)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (keys, n, parts, seed)
+    val prop = Prop.forAll(case_) { case (keys, n, parts, seed) =>
+      val rng = new scala.util.Random(seed)
+      val xs = Seq.tabulate(keys, n)((k, t) => TimeSeriesGen.metricPoint(k.toLong, t.toLong, period) + rng.nextGaussian())
+      val events = for (k <- 0 until keys; t <- 0 until n) yield MetricEvent(k.toLong, t.toLong, xs(k)(t))
+      val got = OnlineSTLStreaming.decomposeBatch(events.toDS().repartition(parts), Seq(period))
+        .collect().toSeq.sortBy(r => (r.seriesId, r.ts))
+      val exp = (0 until keys).flatMap { k =>
+        val stl = new OnlineSTL(Seq(period))
+        xs(k).flatMap(stl.push).map(p =>
+          DecompRow(k.toLong, p.index, p.value, p.trend, p.seasonals.toSeq, p.seasonalSum, p.residual))
+      }
+      got == exp
+    }
+    val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(12).withInitialSeed(10L), prop)
+    assert(result.passed, result.status.toString)
   }
 
   test("decomposition identity holds on every emitted row") {
@@ -184,6 +249,14 @@ class OnlineSTLStreamingSpec extends SparkSpec {
     val back = enc.resolveAndBind().createDeserializer()(enc.createSerializer()(st))
     assert(back.version == st.version && back.periods.toSeq == st.periods.toSeq && back.seen == st.seen)
     assert(back.values.toSeq == st.values.toSeq)
+  }
+
+  test("the KeyEvents encoder reads each array back in one copy") {
+    val enc = OnlineSTLStreaming.keyEventsEncoder
+    assert(!enc.objDeserializer.exists(_.isInstanceOf[UnresolvedMapObjects]), enc.objDeserializer)
+    val ke = KeyEvents(3L, Array(5L, -1L, Long.MaxValue), Array(1.5, -2.0, Double.MinPositiveValue))
+    val back = enc.resolveAndBind().createDeserializer()(enc.createSerializer()(ke))
+    assert(back.seriesId == ke.seriesId && back.ts.toSeq == ke.ts.toSeq && back.values.toSeq == ke.values.toSeq)
   }
 
   test("non-finite values are skipped and never poison a key (batch and streaming)") {
