@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.SlidingTricube
 import repro.exp.Table2
 
 /** Bench for paper Table 2: OnlineSTL on the Spark keyed dataflow across
@@ -38,7 +39,7 @@ class Table2StreamingBench extends SparkSpec {
     assert(byM(10000).throughputPerCore > 1000,
       s"m=10000 throughput/core ${byM(10000).throughputPerCore} too low")
 
-    val fast = Table2.run(spark, paperKernel = false)
+    val fast = Table2.run(spark, kernel = SlidingTricube)
     println("\n== Table 2, sliding trend filters (beyond-paper) ==")
     println(Table2.format(fast))
     val fast10000 = fast.find(_.seasonality == 10000).get

@@ -1,5 +1,6 @@
 package repro.jobs
 
+import repro.core.SlidingTricube
 import repro.exp.Table2
 
 /** spark-submit entrypoint for Table 2 (dataflow throughput & memory vs
@@ -16,7 +17,7 @@ object Table2Streaming {
       val rows = Table2.run(spark, seasonalities)
       println("== Table 2: OnlineSTL dataflow performance (paper trend filters) ==")
       println(Table2.format(rows))
-      val fast = Table2.run(spark, seasonalities, paperKernel = false)
+      val fast = Table2.run(spark, seasonalities, kernel = SlidingTricube)
       println("== Table 2, beyond-paper rows: sliding trend filters ==")
       println(Table2.format(fast))
     } finally spark.stop()

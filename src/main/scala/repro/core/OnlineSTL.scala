@@ -12,18 +12,17 @@ import scala.collection.mutable.ArrayBuffer
   * warm-up points are emitted at once. Every later point is decomposed
   * online (Algorithm 1) and emitted immediately.
   *
-  * Cost: the 2k + 1 trend filters `TF(k_λ, ·)` of a point (`A` at 4m_p, `K_p`
-  * at 3m_p, `D` at m; k periods) are [[SlidingTricube]] trackers by default,
-  * O(1) each, so an update costs O(k) and the init O(m) per period (beyond
-  * the paper). With `paperKernel = true` they are the paper's ring dot
-  * products, [[TrendFilter.nonSymmetric]] and [[TrendFilter.symmetric]]:
-  * O(Σ_p m_p) per update and O(m²) per init, the cost model of Table 2.
-  * The two agree to rounding (≤1e-9 relative in the tests).
+  * Cost: a point runs 2k + 1 trend filters `TF(k_λ, ·)` (`A` at 4m_p, `K_p`
+  * at 3m_p, `D` at m; k periods) of one [[TrendKernel]]: O(1) each for the
+  * default [[SlidingTricube]] (an O(k) update, O(m) init per period; beyond
+  * the paper), O(Σ_p m_p) per update and O(m²) per init for the paper's ring
+  * dots, [[TrendFilter]], the cost model of Table 2. The two agree to
+  * rounding (≤1e-9 relative in the tests).
   *
   * State is O(4m) per series — sliding window `A` (4m), per-period seasonal
   * series `K_p` (3m_p, the span Algorithm 1 line 11 reads), phase estimates
   * `E_{p,S}`/`E_{p,T}` (m_p each), the deseasonalized window `D` (m), and
-  * with the sliding filters [[SlidingTricube.Slots]] doubles per tracker:
+  * the kernel's `Slots` doubles per tracker (11 for the sliding kernel):
   * 4m + 5·Σm_p + m + 11·(2k + 1) doubles — which is what makes the
   * algorithm usable as keyed streaming state. The trackers recompute their
   * moments when `pointsSeen` is a multiple of their λ, so that phase needs
@@ -31,10 +30,10 @@ import scala.collection.mutable.ArrayBuffer
   * `Serializable` stays only for perfbench's java-serialized size probes.
   *
   * @param periods user-specified seasonality periods m_p (e.g. Seq(7, 28))
-  * @param paperKernel use the paper's ring-dot trend filters instead of the
-  *                    sliding ones (Table 2's paper rows and the oracle tests)
+  * @param kernel the trend filters: [[TrendFilter]] for Table 2's paper rows
+  *               and the oracle tests
   */
-final class OnlineSTL(periods: Seq[Int], paperKernel: Boolean = false) extends Serializable {
+final class OnlineSTL(periods: Seq[Int], kernel: TrendKernel = SlidingTricube) extends Serializable {
   // The checks read `ps`, not `periods`: a require message closing over a
   // constructor parameter makes scalac keep it as a (serialized) field.
   private val ps = periods.toArray
@@ -52,10 +51,9 @@ final class OnlineSTL(periods: Seq[Int], paperKernel: Boolean = false) extends S
   private val ES = ps.map(p => new Array[Double](p))              // E_{p,S}
   private val ET = ps.map(p => new Array[Double](p))              // E_{p,T}
   private val D = new CircularBuffer(m)                           // deseasonalized last m
-  // Trend trackers, SlidingTricube.Slots doubles each: A at 4m_p for period
-  // pi at block pi, K_p at block k + pi, D at block 2k.
-  private val mom =
-    if (paperKernel) Array.emptyDoubleArray else new Array[Double]((2 * k + 1) * SlidingTricube.Slots)
+  // Trend trackers, kernel.Slots doubles each: A at 4m_p for period pi at
+  // block pi, K_p at block k + pi, D at block 2k.
+  private val mom = new Array[Double]((2 * k + 1) * kernel.Slots)
   private var seen: Long = 0L                                     // points consumed
 
   /** True once the init phase has run and updates are online. */
@@ -96,14 +94,14 @@ final class OnlineSTL(periods: Seq[Int], paperKernel: Boolean = false) extends S
     while (pi < k) {
       val p = ps(pi)
       // 1. initial trend: symmetric filter, window 2m_p; detrend.
-      val trend1 = smooth(w, 2 * p)
+      val trend1 = kernel.symmetric(w, 2 * p)
       val t1series = minus(w, trend1)
       // 2. smooth cyclic subseries of the detrended series -> K_p, E_{p,S}.
       val (sSeries, perPhaseS) = SeasonalityFilter.smoothCyclic(t1series, p)
       System.arraycopy(perPhaseS, 0, ES(pi), 0, p)
       K(pi).pushAll(sSeries)
       // 3. trend of the seasonal series: symmetric, window 3m_p/2; remove it.
-      val trendOfSeasonal = smooth(sSeries, math.max(2, 3 * p / 2))
+      val trendOfSeasonal = kernel.symmetric(sSeries, math.max(2, 3 * p / 2))
       val d5 = minus(t1series, trendOfSeasonal)
       // 4. smooth cyclic subseries of d5 -> E_{p,T} (the emitted seasonality).
       val (s2Series, perPhaseT) = SeasonalityFilter.smoothCyclic(d5, p)
@@ -116,19 +114,17 @@ final class OnlineSTL(periods: Seq[Int], paperKernel: Boolean = false) extends S
     }
     // D := last m of the fully deseasonalized series (§5.2 step 6).
     D.pushAll(w.takeRight(m))
-    if (!paperKernel) {
-      pi = 0
-      while (pi < k) {
-        SlidingTricube.reset(mom, block(pi), A, 4 * ps(pi))
-        SlidingTricube.reset(mom, block(k + pi), K(pi), 3 * ps(pi))
-        pi += 1
-      }
-      SlidingTricube.reset(mom, block(2 * k), D, m)
+    pi = 0
+    while (pi < k) {
+      kernel.reset(mom, block(pi), A, 4 * ps(pi))
+      kernel.reset(mom, block(k + pi), K(pi), 3 * ps(pi))
+      pi += 1
     }
+    kernel.reset(mom, block(2 * k), D, m)
     // Emit decompositions for the warm-up window: final trend is the
     // symmetric window-m smooth of the deseasonalized series (the batch
     // analogue of Algorithm 1's final TF(k_m, D)).
-    val finalTrend = smooth(w, m)
+    val finalTrend = kernel.symmetric(w, m)
     val out = new Array[DecompPoint](n)
     var i = 0
     while (i < n) {
@@ -153,14 +149,12 @@ final class OnlineSTL(periods: Seq[Int], paperKernel: Boolean = false) extends S
   private def update(x: Double): DecompPoint = {
     val g = seen // 0-based global index of this point
     seen += 1
-    if (!paperKernel) {
-      var pi = 0
-      while (pi < k) { slide(pi, A, 4 * ps(pi), x); pi += 1 }
-    }
+    var pi = 0
+    while (pi < k) { slide(pi, A, 4 * ps(pi), x); pi += 1 }
     A.push(x)
     var b = x
     val seas = new Array[Double](k)
-    var pi = 0
+    pi = 0
     while (pi < k) {
       val p = ps(pi)
       val r = (g % p).toInt
@@ -206,25 +200,20 @@ final class OnlineSTL(periods: Seq[Int], paperKernel: Boolean = false) extends S
     this
   }
 
-  // --- trend filters: sliding trackers, or the paper's ring dots ----------
-  private def block(t: Int): Int = t * SlidingTricube.Slots
+  // --- trend filters: tracker t at block(t) of mom -------------------------
+  private def block(t: Int): Int = t * kernel.Slots
 
-  private def smooth(xs: Array[Double], window: Int): Array[Double] =
-    if (paperKernel) TrendFilter.symmetric(xs, window) else SlidingTricube.symmetric(xs, window)
-
-  /** Tracker `t` (window λ over `ring`) takes `x` as its newest point; the
-    * caller pushes `x` onto `ring` next. `seen` already counts `x`.
-    */
+  /** Tracker `t` takes `x` as its newest point before `ring.push(x)`; `seen` counts `x`. */
   private def slide(t: Int, ring: CircularBuffer, lambda: Int, x: Double): Unit =
-    SlidingTricube.advance(mom, block(t), ring, lambda, x, refresh = seen % lambda == 0)
+    kernel.advance(mom, block(t), ring, lambda, x, refresh = seen % lambda == 0)
 
   private def feed(t: Int, ring: CircularBuffer, lambda: Int, x: Double): Unit = {
-    if (!paperKernel) slide(t, ring, lambda, x)
+    slide(t, ring, lambda, x)
     ring.push(x)
   }
 
   private def trend(t: Int, ring: CircularBuffer, lambda: Int): Double =
-    if (paperKernel) TrendFilter.nonSymmetric(ring, lambda) else SlidingTricube.value(mom, block(t), lambda)
+    kernel.value(mom, block(t), ring, lambda)
 }
 
 object OnlineSTL {

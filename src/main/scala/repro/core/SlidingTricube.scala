@@ -29,7 +29,7 @@ package repro.core
   * amortized), which keeps that weight within `λ^j`, the weight of a point
   * in the window.
   */
-object SlidingTricube {
+object SlidingTricube extends TrendKernel {
   /** Doubles per tracker: `P₀ … P₉`, then the weight mass. */
   final val Slots = 11
   private final val Mass = 10
@@ -37,7 +37,7 @@ object SlidingTricube {
   /** Set the tracker at `s(o)` to the window of the last
     * `min(λ, ring.size)` elements of `ring`, computed exactly.
     */
-  def reset(s: Array[Double], o: Int, ring: CircularBuffer, lambda: Int): Unit =
+  override def reset(s: Array[Double], o: Int, ring: CircularBuffer, lambda: Int): Unit =
     exact(s, o, ring, lambda, lead = 0, 0.0)
 
   /** Slide the window one step so that `x` is its newest point. Call it
@@ -45,8 +45,8 @@ object SlidingTricube {
     * the ring. With `refresh` the moments are recomputed from the ring and
     * `x` instead of shifted.
     */
-  def advance(s: Array[Double], o: Int, ring: CircularBuffer, lambda: Int, x: Double,
-              refresh: Boolean): Unit = {
+  override def advance(s: Array[Double], o: Int, ring: CircularBuffer, lambda: Int, x: Double,
+                       refresh: Boolean): Unit = {
     if (refresh) exact(s, o, ring, lambda, lead = 1, x)
     else {
       var p0 = s(o); var p1 = s(o + 1); var p2 = s(o + 2); var p3 = s(o + 3); var p4 = s(o + 4)
@@ -86,6 +86,7 @@ object SlidingTricube {
 
   /** The trend `TF(k_λ, ·)`: the weighted mean of the window. */
   def value(s: Array[Double], o: Int, lambda: Int): Double = dot(s, o, lambda) / mass(s, o)
+  def value(s: Array[Double], o: Int, ring: CircularBuffer, lambda: Int): Double = value(s, o, lambda)
 
   /** Compute the tracker anew: `x` at i = 0 if `lead` is 1, then
     * the ring's elements newest first. The mass is summed newest first, in

@@ -1,6 +1,6 @@
 package repro.core
 
-/** Trend filters (paper §4.1).
+/** Trend filters (paper §4.1), the paper's [[TrendKernel]].
   *
   * - [[TrendFilter.nonSymmetric]] is the online filter `TF(k_λ, X_t)`: a
   *   tri-cube-weighted average over the last λ points, newest point heaviest.
@@ -8,7 +8,9 @@ package repro.core
   *   one-time initialization (§5.2): a centered tri-cube-weighted average
   *   over ±⌈w/2⌉ neighbours, truncated (and renormalized) at the edges.
   */
-object TrendFilter {
+object TrendFilter extends TrendKernel {
+  final val Slots = 0
+  def value(s: Array[Double], o: Int, ring: CircularBuffer, lambda: Int): Double = nonSymmetric(ring, lambda)
 
   /** `TF(k_λ, ·)` on a ring buffer: weighted mean of the last λ elements.
     * If the buffer holds fewer than λ points, the trailing portion of the

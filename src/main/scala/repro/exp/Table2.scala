@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.core.OnlineSTL
+import repro.core.{OnlineSTL, TrendFilter, TrendKernel}
 import repro.data.TimeSeriesGen
 import repro.streaming.{DecompRow, KeyEvents, MetricEvent, OnlineSTLStreaming}
 
@@ -16,14 +16,14 @@ import repro.streaming.{DecompRow, KeyEvents, MetricEvent, OnlineSTLStreaming}
   * (heap in use without a GC, so it counts garbage too).
   *
   * The paper rows run OnlineSTL with the paper's ring-dot trend filters
-  * (`paperKernel = true`), whose O(Σ m_p) per-point cost is what makes
-  * throughput fall with seasonality. Rows with `paperKernel = false` run the
-  * shipped default, the O(1) sliding filters, on the same per-key path
-  * (beyond the paper).
+  * (`kernel = TrendFilter`, the default here), whose O(Σ m_p) per-point cost
+  * is what makes throughput fall with seasonality. Rows with
+  * `kernel = SlidingTricube` run the shipped default, the O(1) sliding
+  * filters, on the same per-key path (beyond the paper).
   */
 object Table2 {
 
-  final case class Row(seasonality: Int, paperKernel: Boolean, nSeries: Int, pointsPerSeries: Int,
+  final case class Row(seasonality: Int, kernel: TrendKernel, nSeries: Int, pointsPerSeries: Int,
                        totalPoints: Long, elapsedSec: Double,
                        throughputPerCore: Double, totalEventsPerSec: Double,
                        stateBytes: Int, heapUsedGB: Double)
@@ -47,14 +47,14 @@ object Table2 {
   }
 
   def run(spark: SparkSession, seasonalities: Seq[Int] = Seq(10, 100, 1000, 10000),
-          config: Int => (Int, Int) = defaultConfig, paperKernel: Boolean = true): Seq[Row] = {
+          config: Int => (Int, Int) = defaultConfig, kernel: TrendKernel = TrendFilter): Seq[Row] = {
     val cores = spark.sparkContext.defaultParallelism
     // Warm JIT + Catalyst codegen so the first measured row is not charged
     // for compilation (the paper likewise measures steady state). Needs to be
     // big enough that the per-point hot path reaches C2-compiled steady
     // state — a few hundred thousand points.
     for (warmM <- Seq(10, 200))
-      decompose(OnlineSTLStreaming.syntheticEvents(spark, 100, 5000, warmM), warmM, paperKernel).count()
+      decompose(OnlineSTLStreaming.syntheticEvents(spark, 100, 5000, warmM), warmM, kernel).count()
     seasonalities.map { m =>
       val (nSeries, pts) = config(m)
       val events = OnlineSTLStreaming.syntheticEvents(spark, nSeries, pts, m)
@@ -65,30 +65,30 @@ object Table2 {
         // bottleneck (paper §6, "rate of ingestion set high").
         require(events.count() == total)
         val t0 = System.nanoTime()
-        val outCount = decompose(events, m, paperKernel).count()
+        val outCount = decompose(events, m, kernel).count()
         val sec = (System.nanoTime() - t0) / 1e9
         require(outCount == total, s"expected $total decomposed rows, got $outCount")
         val rt = Runtime.getRuntime
         val heapGB = (rt.totalMemory() - rt.freeMemory()) / 1e9
-        Row(m, paperKernel, nSeries, pts, total, sec, total / sec / cores, total / sec,
-            keyStateBytes(m, pts, paperKernel), heapGB)
+        Row(m, kernel, nSeries, pts, total, sec, total / sec / cores, total / sec,
+            keyStateBytes(m, pts, kernel), heapGB)
       } finally events.unpersist()
     }
   }
 
   /** `OnlineSTLStreaming.decomposeBatch`'s dataflow with the trend filters chosen. */
-  private def decompose(events: Dataset[MetricEvent], m: Int, paperKernel: Boolean): Dataset[DecompRow] = {
+  private def decompose(events: Dataset[MetricEvent], m: Int, kernel: TrendKernel): Dataset[DecompRow] = {
     import events.sparkSession.implicits._
     OnlineSTLStreaming.byKey(events).flatMapGroups { (key: Long, chunks: Iterator[KeyEvents]) =>
-      OnlineSTLStreaming.processKey(key, chunks, new OnlineSTL(Seq(m), paperKernel = paperKernel))
+      OnlineSTLStreaming.processKey(key, chunks, new OnlineSTL(Seq(m), kernel))
     }
   }
 
   /** Bytes of series 0's state record after all its points, as the
     * streaming deployment's state store keeps it per key.
     */
-  private def keyStateBytes(m: Int, points: Int, paperKernel: Boolean): Int = {
-    val stl = new OnlineSTL(Seq(m), paperKernel = paperKernel)
+  private def keyStateBytes(m: Int, points: Int, kernel: TrendKernel): Int = {
+    val stl = new OnlineSTL(Seq(m), kernel)
     (0 until points).foreach(t => stl.push(TimeSeriesGen.metricPoint(0L, t.toLong, m)))
     OnlineSTLStreaming.stateRowBytes(stl.state)
   }
@@ -101,8 +101,8 @@ object Table2 {
       f"${"thpt/core"}%12s ${"total_ev/s"}%12s ${"state_B/key"}%11s ${"heap_GB"}%8s " +
       f"${"paper thpt/slot"}%15s"
     val body = rows.map { r =>
-      val p = paper.get(r.seasonality).filter(_ => r.paperKernel).map(t => f"${t._1}%.0f").getOrElse("-")
-      val filter = if (r.paperKernel) "paper (ring dot)" else "sliding (beyond-paper)"
+      val p = paper.get(r.seasonality).filter(_ => r.kernel == TrendFilter).map(t => f"${t._1}%.0f").getOrElse("-")
+      val filter = if (r.kernel == TrendFilter) "paper (ring dot)" else "sliding (beyond-paper)"
       f"${r.seasonality}%11d $filter%-22s ${r.nSeries}%7d ${r.pointsPerSeries}%10d ${r.elapsedSec}%10.2f " +
         f"${r.throughputPerCore}%12.0f ${r.totalEventsPerSec}%12.0f ${r.stateBytes}%11d " +
         f"${r.heapUsedGB}%8.2f $p%15s"

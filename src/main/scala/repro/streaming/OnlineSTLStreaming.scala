@@ -154,9 +154,8 @@ object OnlineSTLStreaming {
     * every micro-batch, and `repro.jobs.JobSession` sets that to the task
     * slots. The count is frozen in the checkpoint at the query's first
     * start; a restart on it keeps the count whatever the session then says.
-    * A caller that brings its own session should make the same two settings
-    * as `JobSession.get`: shuffle partitions = task slots, and the previous
-    * count as `spark.sql.adaptive.coalescePartitions.initialPartitionNum`.
+    * A caller that brings its own session should make the same setting as
+    * `JobSession.get`: shuffle partitions = task slots.
     */
   def decomposeStream(events: Dataset[MetricEvent], periods: Seq[Int]): Dataset[DecompRow] = {
     val spark = events.sparkSession

@@ -1,28 +1,24 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import repro.jobs.JobSession
 
-/** Base for every test: one local-mode SparkSession for the whole run, built
-  * by the program's own `JobSession`, so tests run the settings it ships.
+/** Base for the Spark tests: one local-mode SparkSession for the whole run,
+  * built by the program's own `JobSession`, so tests run the settings it ships.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit).
+  * SPARK_DRIVER_MEM when it is set (the tier-1 command in ROADMAP.md sets
+  * half of MemTotal, clamped to 2–8 g), else from the same rule in build.sbt.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = JobSession.get("repro")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target), and which
+    // One line in test output with the heap setting, the task slots and the
     // shuffle partition count the tests ran.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +

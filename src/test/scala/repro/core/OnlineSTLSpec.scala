@@ -202,7 +202,7 @@ class OnlineSTLSpec extends SparkSpec {
     rejected(ps, st.copy(seen = 4L * 28 - 1), "values") // a warm-up record is shorter
     rejected(ps, st.copy(seen = -1L), "seen")
     // the paper kernel keeps no moments, so its records do not restore
-    rejected(ps, stateOf(new OnlineSTL(ps, paperKernel = true)), "values")
+    rejected(ps, stateOf(new OnlineSTL(ps, TrendFilter)), "values")
   }
 
   test("OnlineSTL stays java-serializable after init (perfbench reads its size)") {
@@ -222,7 +222,7 @@ class OnlineSTLSpec extends SparkSpec {
     */
   private def assertMatchesPaperKernel(periods: Seq[Int], xs: Array[Double]): Unit = {
     val fast = new OnlineSTL(periods)
-    val paper = new OnlineSTL(periods, paperKernel = true)
+    val paper = new OnlineSTL(periods, TrendFilter)
     val tol = 1e-9 * xs.map(math.abs).max
     for (x <- xs) {
       val a = fast.push(x)
