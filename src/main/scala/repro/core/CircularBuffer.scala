@@ -3,9 +3,9 @@ package repro.core
 /** Fixed-capacity ring buffer of doubles — the `UpdateArray` primitive of the
   * paper (§5.1, item 9): pushing replaces the oldest element.
   *
-  * The OnlineSTL hot loop only ever needs (a) O(1) push and (b) a dot product
-  * of a kernel against the *last w* elements, so both are provided directly on
-  * the ring without copying.
+  * OnlineSTL needs (a) O(1) push and `fromEnd` reads, and, on the paper's
+  * kernel only ([[TrendFilter]]), (b) a dot product of a kernel against the
+  * *last w* elements; both work on the ring without copying.
   */
 final class CircularBuffer(val capacity: Int) extends Serializable {
   require(capacity > 0, s"capacity must be positive, got $capacity")

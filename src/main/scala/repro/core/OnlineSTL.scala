@@ -21,12 +21,13 @@ import scala.collection.mutable.ArrayBuffer
   *
   * State is O(4m) per series — sliding window `A` (4m), per-period seasonal
   * series `K_p` (3m_p, the span Algorithm 1 line 11 reads), phase estimates
-  * `E_{p,S}`/`E_{p,T}` (m_p each), the deseasonalized window `D` (m), and
-  * the kernel's `Slots` doubles per tracker (11 for the sliding kernel):
-  * 4m + 5·Σm_p + m + 11·(2k + 1) doubles — which is what makes the
-  * algorithm usable as keyed streaming state. The trackers recompute their
-  * moments when `pointsSeen` is a multiple of their λ, so that phase needs
-  * no counter of its own. [[state]] is the record `repro.streaming` stores;
+  * `E_{p,T}` (m_p each), the deseasonalized window `D` (m), and the kernel's
+  * `Slots` doubles per tracker (11 for the sliding kernel): 4m + 4·Σm_p + m +
+  * 11·(2k + 1) doubles — which is what makes the algorithm usable as keyed
+  * streaming state. `E_{p,S}` needs no array of its own: lines 8–9 push each
+  * `E_{p,S}[r]` onto `K_p`, so phase r's estimate is `K_p`'s entry m_p back.
+  * The trackers recompute their moments when `pointsSeen` is a multiple of
+  * their λ, so that phase needs no counter. [[state]] is the record `repro.streaming` stores;
   * `Serializable` stays only for perfbench's java-serialized size probes.
   *
   * @param periods user-specified seasonality periods m_p (e.g. Seq(7, 28))
@@ -48,7 +49,6 @@ final class OnlineSTL(periods: Seq[Int], kernel: TrendKernel = SlidingTricube) e
   // --- state (§5.1) -------------------------------------------------------
   private val A = new CircularBuffer(4 * m)                       // latest 4m raw points
   private val K = ps.map(p => new CircularBuffer(3 * p))          // seasonal series per period
-  private val ES = ps.map(p => new Array[Double](p))              // E_{p,S}
   private val ET = ps.map(p => new Array[Double](p))              // E_{p,T}
   private val D = new CircularBuffer(m)                           // deseasonalized last m
   // Trend trackers, kernel.Slots doubles each: A at 4m_p for period pi at
@@ -96,9 +96,8 @@ final class OnlineSTL(periods: Seq[Int], kernel: TrendKernel = SlidingTricube) e
       // 1. initial trend: symmetric filter, window 2m_p; detrend.
       val trend1 = kernel.symmetric(w, 2 * p)
       val t1series = minus(w, trend1)
-      // 2. smooth cyclic subseries of the detrended series -> K_p, E_{p,S}.
-      val (sSeries, perPhaseS) = SeasonalityFilter.smoothCyclic(t1series, p)
-      System.arraycopy(perPhaseS, 0, ES(pi), 0, p)
+      // 2. smooth cyclic subseries of the detrended series -> K_p.
+      val sSeries = SeasonalityFilter.smoothCyclic(t1series, p)._1
       K(pi).pushAll(sSeries)
       // 3. trend of the seasonal series: symmetric, window 3m_p/2; remove it.
       val trendOfSeasonal = kernel.symmetric(sSeries, math.max(2, 3 * p / 2))
@@ -160,10 +159,8 @@ final class OnlineSTL(periods: Seq[Int], kernel: TrendKernel = SlidingTricube) e
       val r = (g % p).toInt
       // line 6: initial trend of the raw window, window 4m_p.
       val t1 = trend(pi, A, 4 * p)
-      // lines 7-9: detrend, update E_{p,S}, extend the seasonal series K_p.
-      val d1 = b - t1
-      ES(pi)(r) = SeasonalityFilter.step(ES(pi)(r), d1)
-      feed(k + pi, K(pi), 3 * p, ES(pi)(r))
+      // lines 7-9: detrend, update E_{p,S}[r] (K_p's entry m_p back), extend K_p.
+      feed(k + pi, K(pi), 3 * p, SeasonalityFilter.step(K(pi).fromEnd(p - 1), b - t1))
       // line 11: trend of the seasonal series, window 3m_p.
       val t4 = trend(k + pi, K(pi), 3 * p)
       // lines 12-13: fully detrended value updates E_{p,T}.
@@ -181,21 +178,22 @@ final class OnlineSTL(periods: Seq[Int], kernel: TrendKernel = SlidingTricube) e
 
   /** A copy of the state (§5.1) as one record; [[OnlineSTL.restore]] inverts it. */
   def state: OnlineSTL.State = OnlineSTL.State(OnlineSTL.StateVersion, ps.clone(), seen,
-    Array.concat((rings.map(_.toArray) ++ ES ++ ET :+ mom).toIndexedSeq: _*))
+    Array.concat((rings.map(_.toArray) ++ ET :+ mom).toIndexedSeq: _*))
 
   private def rings = A +: K :+ D // a def: java serialization would keep a field
 
   private def load(st: OnlineSTL.State): OnlineSTL = {
-    require(st.version == OnlineSTL.StateVersion, s"unknown state version ${st.version}")
+    require(st.version == 1 || st.version == OnlineSTL.StateVersion, s"unknown state version ${st.version}")
     require(st.periods.sameElements(ps),
       s"state has periods ${st.periods.mkString(", ")}, not ${ps.mkString(", ")}")
     val held = rings.map(r => if (st.seen >= 4L * m) r.capacity else if (r eq A) st.seen.toInt else 0)
-    val n = held.sum + 2 * ps.sum + mom.length
+    val es = if (st.version == 1) ps.sum else 0 // version 1 also wrote each E_{p,S}
+    val n = held.sum + es + ps.sum + mom.length
     require(st.seen >= 0 && st.values.length == n,
       s"state holds ${st.values.length} values for seen = ${st.seen}, not $n")
-    val it = st.values.iterator
+    val it = st.values.patch(held.sum, Nil, es).iterator
     rings.zip(held).foreach { case (r, len) => r.pushAll(Array.fill(len)(it.next())) }
-    (ES ++ ET :+ mom).foreach(a => a.indices.foreach(a(_) = it.next()))
+    (ET :+ mom).foreach(a => a.indices.foreach(a(_) = it.next()))
     seen = st.seen
     this
   }
@@ -217,11 +215,12 @@ final class OnlineSTL(periods: Seq[Int], kernel: TrendKernel = SlidingTricube) e
 }
 
 object OnlineSTL {
-  final val StateVersion = 1 // of State's layout
+  final val StateVersion = 2 // of State's layout
 
   /** One key's state, the keyed state of the streaming deployment: every ring
     * oldest first (`A`, each `K_p`, `D`; `K_p` and `D` are empty until init),
-    * then each `E_{p,S}`, each `E_{p,T}` and the tracker moments, verbatim.
+    * then each `E_{p,T}` and the tracker moments, verbatim. [[restore]] also
+    * reads version 1, which held each `E_{p,S}` before the `E_{p,T}`.
     */
   final case class State(version: Int, periods: Array[Int], seen: Long, values: Array[Double])
 

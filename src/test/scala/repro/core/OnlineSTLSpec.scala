@@ -139,12 +139,12 @@ class OnlineSTLSpec extends SparkSpec {
       seasonalSeries(points, periods.max, 0.01, 1.0, 0.1, 4).foreach(stl.push)
       stl.state.values.length
     }
-    // A (4m) + K_p (3m_p) + D (m) + E_{p,S}, E_{p,T} (m_p each) doubles, plus
-    // the sliding trend trackers (Slots doubles for each of A per period, K_p
-    // and D), exactly, however many points were seen.
+    // A (4m) + K_p (3m_p) + D (m) + E_{p,T} (m_p) doubles, plus the sliding
+    // trend trackers (Slots doubles for each of A per period, K_p and D),
+    // exactly, however many points were seen. E_{p,S} is K_p's newest period.
     for (ps <- Seq(Seq(20), Seq(7, 28))) {
       val m = ps.max
-      val exact = 4 * m + 5 * ps.sum + m + SlidingTricube.Slots * (2 * ps.size + 1)
+      val exact = 4 * m + 4 * ps.sum + m + SlidingTricube.Slots * (2 * ps.size + 1)
       for (points <- Seq(4 * m, 4 * m + 10, 4 * m + 5000))
         assert(sizeAfter(ps, points) == exact, s"periods $ps after $points points")
       // warm-up points live in the 4m window itself, so state does not peak before init
@@ -195,6 +195,7 @@ class OnlineSTLSpec extends SparkSpec {
       assert(e.getMessage.contains(what), e.getMessage)
     }
     rejected(ps, st.copy(version = st.version + 1), "version")
+    rejected(ps, st.copy(version = 0), "version")
     rejected(other, st, "periods")
     rejected(ps.reverse, st, "periods")
     rejected(ps, st.copy(values = st.values.init), "values")
