@@ -193,7 +193,7 @@ class OnlineSTLStreamingSpec extends SparkSpec {
       .writeStream.option("checkpointLocation", checkpointDir.toString).foreachBatch(sink).start()
     val shuffleKey = "spark.sql.shuffle.partitions"
     val deployed = spark.conf.get(shuffleKey)
-    val (frozen, total) =
+    val (frozen, total, files) =
       try {
         val first = start()
         val (frozen, mid) =
@@ -208,11 +208,16 @@ class OnlineSTLStreamingSpec extends SparkSpec {
             val total = feed(stream, second, mid, Seq(2 * period, 10, 5))
             // The state partition count is frozen in the checkpoint.
             assert(second.lastProgress.stateOperators(0).numShufflePartitions == frozen)
-            (frozen, total)
+            (frozen, total, Files.walk(checkpointDir).iterator.asScala.map(checkpointDir.relativize(_)).toList)
           } finally second.stop()
         } finally spark.conf.set(shuffleKey, deployed)
       } finally Files.walk(checkpointDir).sorted(Comparator.reverseOrder()).forEach(p => Files.delete(p))
     assert(frozen == spark.sparkContext.defaultParallelism)
+    // JobSession's checkpoint I/O: Spark's checkpoint checksums are written,
+    // Hadoop's hidden `.<name>.crc` side files are not.
+    assert(files.exists(_.toString.matches("state/0/\\d+/\\d+\\.delta\\.crc")), files)
+    val hidden = files.filter { f => val n = f.getFileName.toString; n.startsWith(".") && n.endsWith(".crc") }
+    assert(hidden.isEmpty, s"${hidden.size} Hadoop .crc files, e.g. ${hidden.take(3)}")
     val got = rows.asScala.toSeq
     for (s <- 0L until 2L) {
       val ts = got.filter(_.seriesId == s).map(_.ts)
