@@ -1,14 +1,15 @@
 package repro.baselines
 
 import repro.core.Decomposition
-import repro.linalg.{JacobiEigen, Mat}
+import repro.linalg.{Mat, SymEigen}
 
 /** Singular Spectrum Analysis (Golyandina & Osipov) — the paper's SVD-based
   * baseline. Embeds the series in an L-lagged trajectory matrix, eigen-
-  * decomposes the L×L lag-covariance (the O(L³) step that dominates and
-  * puts SSA in the paper's O(1)/s throughput class), reconstructs the top
-  * elementary components by diagonal averaging, and groups them into
-  * trend / seasonal-p / residual by eigenvector frequency.
+  * decomposes the L×L lag-covariance with [[repro.linalg.SymEigen]] (the
+  * O(L³) step that dominates and puts SSA in the paper's O(1)/s throughput
+  * class), reconstructs the top elementary components by diagonal
+  * averaging, and groups them into trend / seasonal-p / residual by
+  * eigenvector frequency.
   *
   * @param maxL      cap on the embedding length (DESIGN.md substitution 5 —
   *                  documented cap so seasonality-1440 runs terminate)
@@ -37,7 +38,7 @@ final class SSA(maxL: Int = 360, maxComps: Int = 24) extends Decomposer {
       }
       i += 1
     }
-    val eig = JacobiEigen.decompose(s)
+    val eig = SymEigen.decompose(s)
 
     val r = math.min(maxComps, l)
     val trend = new Array[Double](n)

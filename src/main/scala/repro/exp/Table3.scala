@@ -47,8 +47,9 @@ object Table3 {
     * The online counterpart re-runs the batch fit for *every* point, so its
     * inner optimizers are trimmed (fewer NM evals, smaller SSA embedding) to
     * keep the table reproducible in minutes — noted in EXPERIMENTS.md.
+    * Table 4 runs the same roster.
     */
-  private def algos(multi: Boolean): Seq[(Decomposer, Decomposer)] = Seq(
+  private[exp] def algos(multi: Boolean): Seq[(Decomposer, Decomposer)] = Seq(
     (new MSTL(), new MSTL()),
     (new SSA(), new SSA(maxL = 100)),
     (new STR(), new STR()),

@@ -41,15 +41,13 @@ object Table4 {
       Metrics.trendSmoothness(d.trend))
   }
 
+  /** Table 4's names for the Table 3 algorithms it labels differently. */
+  private val labels = Map("stl" -> "offline stl", "frobustSTL" -> "Fast RobustSTL")
+
   def run(g: TimeSeriesGen.Generated = TimeSeriesGen.synthetic()): Seq[Row] = {
-    val batch: Seq[(String, Decomposer, Decomposer)] = Seq(
-      ("offline stl", new MSTL(), new MSTL()),
-      ("SSA", new SSA(), new SSA(maxL = 100)),
-      ("STR", new STR(), new STR()),
-      ("TBATS", new TBATS(), new TBATS(maxEvals = 40)),
-      ("Fast RobustSTL", new RobustSTL(multiSeasonal = true),
-        new RobustSTL(multiSeasonal = true)),
-    )
+    val batch = Table3.algos(multi = true).map { case (off, on) =>
+      (labels.getOrElse(off.name, off.name), off, on)
+    }
     val ostl = score("OnlineSTL", new OnlineSTL(g.periods).decomposeAll(g.x), g)
     val offline = batch.map { case (label, algo, _) =>
       score(label, algo.decompose(g.x, g.periods), g)

@@ -1,7 +1,7 @@
 package repro.linalg
 
-/** Minimal dense row-major matrix. The baselines use their own solvers,
-  * built on this.
+/** Minimal dense row-major matrix. The baselines build their systems in it;
+  * QR and the symmetric eigensolver hand it to commons-math3.
   */
 final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) {
   require(a.length == rows * cols, s"backing array ${a.length} != $rows x $cols")
@@ -22,18 +22,10 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) {
     }
     y
   }
-
-  def copy: Mat = new Mat(rows, cols, a.clone())
 }
 
 object Mat {
   def zeros(rows: Int, cols: Int): Mat = new Mat(rows, cols, new Array[Double](rows * cols))
-
-  def eye(n: Int): Mat = {
-    val m = zeros(n, n)
-    var i = 0; while (i < n) { m(i, i) = 1.0; i += 1 }
-    m
-  }
 }
 
 /** Shared small vector helpers. */

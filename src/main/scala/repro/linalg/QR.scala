@@ -1,68 +1,21 @@
 package repro.linalg
 
-/** Householder QR least squares: argmin_x ||A x - b||₂, A (rows >= cols).
-  * Dense O(rows·cols²) — this deliberate cost is part of reproducing why STR
-  * is slow (DESIGN.md substitution 5); the CG path handles large systems.
+import org.apache.commons.math3.linear.{Array2DRowRealMatrix, ArrayRealVector, QRDecomposition}
+
+/** Householder QR least squares: argmin_x ||A x - b||₂, A (rows >= cols),
+  * solved by commons-math3's `QRDecomposition`. Dense O(rows·cols²) — this
+  * deliberate cost is part of reproducing why STR is slow (DESIGN.md
+  * substitution 5); the CG path handles large systems.
+  *
+  * A must have full column rank: if R has an exactly zero diagonal entry
+  * the solve throws `SingularMatrixException`. STR's smoothness and sum-zero
+  * rows give its design full column rank.
   */
 object QR {
-  def solveLeastSquares(a0: Mat, b0: Array[Double]): Array[Double] = {
-    val m = a0.rows; val n = a0.cols
-    require(m >= n, s"need rows >= cols, got $m x $n")
-    require(b0.length == m, "rhs length mismatch")
-    val a = a0.a.clone()
-    val b = b0.clone()
-    @inline def at(i: Int, j: Int) = a(i * n + j)
-    @inline def set(i: Int, j: Int, v: Double): Unit = a(i * n + j) = v
-
-    var k = 0
-    while (k < n) {
-      // Householder vector for column k.
-      var normx = 0.0
-      var i = k
-      while (i < m) { val v = at(i, k); normx += v * v; i += 1 }
-      normx = math.sqrt(normx)
-      if (normx > 0.0) {
-        val alpha = if (at(k, k) >= 0) -normx else normx
-        // v = x - alpha*e1 (stored in place of column k below the diagonal)
-        val vkk = at(k, k) - alpha
-        set(k, k, vkk)
-        var vtv = vkk * vkk
-        i = k + 1
-        while (i < m) { vtv += at(i, k) * at(i, k); i += 1 }
-        if (vtv > 0.0) {
-          // apply H = I - 2 v vᵀ / vᵀv to remaining columns and to b.
-          var j = k + 1
-          while (j < n) {
-            var vtx = 0.0
-            i = k
-            while (i < m) { vtx += at(i, k) * at(i, j); i += 1 }
-            val f = 2.0 * vtx / vtv
-            i = k
-            while (i < m) { set(i, j, at(i, j) - f * at(i, k)); i += 1 }
-            j += 1
-          }
-          var vtb = 0.0
-          i = k
-          while (i < m) { vtb += at(i, k) * b(i); i += 1 }
-          val fb = 2.0 * vtb / vtv
-          i = k
-          while (i < m) { b(i) -= fb * at(i, k); i += 1 }
-        }
-        set(k, k, alpha) // diagonal of R
-      }
-      k += 1
-    }
-    // Back substitution on R x = Q'b (upper n x n block).
-    val x = new Array[Double](n)
-    var i = n - 1
-    while (i >= 0) {
-      var s = b(i)
-      var j = i + 1
-      while (j < n) { s -= at(i, j) * x(j); j += 1 }
-      val d = at(i, i)
-      x(i) = if (math.abs(d) > 1e-12) s / d else 0.0
-      i -= 1
-    }
-    x
+  def solveLeastSquares(a: Mat, b: Array[Double]): Array[Double] = {
+    require(a.rows >= a.cols, s"need rows >= cols, got ${a.rows} x ${a.cols}")
+    require(b.length == a.rows, "rhs length mismatch")
+    val m = new Array2DRowRealMatrix(Array.tabulate(a.rows, a.cols)(a(_, _)), false)
+    new QRDecomposition(m).getSolver.solve(new ArrayRealVector(b, false)).toArray
   }
 }

@@ -1,10 +1,17 @@
 package repro.linalg
 
+import org.apache.commons.math3.linear.SingularMatrixException
 import repro.SparkSpec
 import scala.util.Random
 
-/** Products and norms only the tests use. */
+/** Constructors, products and norms only the tests use. */
 private object TestLinalg {
+  def eye(n: Int): Mat = {
+    val m = Mat.zeros(n, n)
+    var i = 0; while (i < n) { m(i, i) = 1.0; i += 1 }
+    m
+  }
+
   /** y = mᵀ * x. */
   def tmv(m: Mat, x: Array[Double]): Array[Double] = {
     require(x.length == m.rows, s"dim mismatch: ${m.rows} vs ${x.length}")
@@ -35,7 +42,7 @@ class MatSpec extends SparkSpec {
   }
 
   test("eye has ones on the diagonal only") {
-    val m = Mat.eye(4)
+    val m = eye(4)
     for (i <- 0 until 4; j <- 0 until 4)
       assert(m(i, j) == (if (i == j) 1.0 else 0.0))
   }
@@ -113,6 +120,9 @@ class QRSpec extends SparkSpec {
   test("rejects underdetermined shapes") {
     intercept[IllegalArgumentException](
       QR.solveLeastSquares(Mat.zeros(2, 3), new Array[Double](2)))
+    // Square but rank-deficient (two equal columns): no unique solution.
+    intercept[SingularMatrixException](
+      QR.solveLeastSquares(new Mat(2, 2, Array(3.0, 3.0, 4.0, 4.0)), Array(1.0, 2.0)))
   }
 }
 
@@ -166,13 +176,24 @@ class JacobiEigenSpec extends SparkSpec {
   test("diagonal matrix: eigenvalues are the diagonal, sorted descending") {
     val m = Mat.zeros(3, 3)
     m(0, 0) = 1.0; m(1, 1) = 5.0; m(2, 2) = 3.0
-    val e = JacobiEigen.decompose(m)
+    val e = SymEigen.decompose(m)
     assert(e.values.toSeq == Seq(5.0, 3.0, 1.0))
+    // A repeated eigenvalue (as SSA's sinusoid pairs nearly are) still
+    // yields an orthonormal eigenvector matrix.
+    val r = Mat.zeros(4, 4)
+    r(0, 0) = 2.0; r(1, 1) = 7.0; r(2, 2) = 2.0; r(3, 3) = 7.0
+    val er = SymEigen.decompose(r)
+    assert(er.values.toSeq == Seq(7.0, 7.0, 2.0, 2.0))
+    def col(c: Int) = Array.tabulate(4)(i => er.vectors(i, c))
+    for (c1 <- 0 until 4; c2 <- 0 until 4) {
+      val d = Vec.dot(col(c1), col(c2))
+      assert(math.abs(d - (if (c1 == c2) 1.0 else 0.0)) < 1e-12, s"v$c1 · v$c2 = $d")
+    }
   }
 
   test("known 2x2 symmetric matrix") {
     val m = new Mat(2, 2, Array(2.0, 1.0, 1.0, 2.0))
-    val e = JacobiEigen.decompose(m)
+    val e = SymEigen.decompose(m)
     assert(math.abs(e.values(0) - 3.0) < 1e-9)
     assert(math.abs(e.values(1) - 1.0) < 1e-9)
   }
@@ -185,7 +206,7 @@ class JacobiEigenSpec extends SparkSpec {
         val v = rng.nextGaussian()
         m(i, j) = v; m(j, i) = v
       }
-      val e = JacobiEigen.decompose(m)
+      val e = SymEigen.decompose(m)
       // eigen equation
       for (c <- 0 until math.min(n, 5)) {
         val v = Array.tabulate(n)(i => e.vectors(i, c))
@@ -208,7 +229,7 @@ class JacobiEigenSpec extends SparkSpec {
   }
 
   test("rejects non-square input") {
-    intercept[IllegalArgumentException](JacobiEigen.decompose(Mat.zeros(2, 3)))
+    intercept[IllegalArgumentException](SymEigen.decompose(Mat.zeros(2, 3)))
   }
 }
 
