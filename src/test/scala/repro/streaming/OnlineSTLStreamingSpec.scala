@@ -1,8 +1,10 @@
 package repro.streaming
 
 import java.nio.file.Files
+import java.nio.file.attribute.PosixFilePermissions
 import java.util.Comparator
 import scala.jdk.CollectionConverters._
+import org.apache.hadoop.fs.permission.FsPermission
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.catalyst.expressions.objects.UnresolvedMapObjects
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
@@ -18,19 +20,20 @@ class OnlineSTLStreamingSpec extends SparkSpec {
   private val nSeries = 5
   private val pointsPerSeries = 4 * period + 3 * period
 
-  private def sequentialReference(seriesId: Long,
-                                  n: Int = pointsPerSeries): Seq[(Long, Double, Double, Double)] = {
-    val stl = new OnlineSTL(Seq(period))
+  private def sequentialReference(seriesId: Long, n: Int = pointsPerSeries,
+                                  m: Int = period): Seq[(Long, Double, Double, Double)] = {
+    val stl = new OnlineSTL(Seq(m))
     (0 until n).flatMap { t =>
-      stl.push(TimeSeriesGen.metricPoint(seriesId, t.toLong, period)).map(p =>
+      stl.push(TimeSeriesGen.metricPoint(seriesId, t.toLong, m)).map(p =>
         (p.index, p.trend, p.seasonalSum, p.residual))
     }
   }
 
   /** Key `s`'s rows, in ts order, equal the sequential reference over `n` points. */
-  private def assertMatchesReference(s: Long, rows: Seq[DecompRow], n: Int = pointsPerSeries): Unit = {
+  private def assertMatchesReference(s: Long, rows: Seq[DecompRow], n: Int = pointsPerSeries,
+                                     m: Int = period): Unit = {
     val got = rows.filter(_.seriesId == s).sortBy(_.ts)
-    val exp = sequentialReference(s, n)
+    val exp = sequentialReference(s, n, m)
     assert(got.size == exp.size, s"key $s: ${got.size} rows vs ${exp.size}")
     for ((g, e) <- got.zip(exp)) {
       assert(g.ts == e._1, s"ts mismatch: $g vs $e")
@@ -43,10 +46,11 @@ class OnlineSTLStreamingSpec extends SparkSpec {
   /** Feeds keys 0 and 1 one micro-batch per size, from ts `t0` on, each
     * processed before the next; returns the ts after the last batch.
     */
-  private def feed(stream: MemoryStream[MetricEvent], query: StreamingQuery, t0: Int, sizes: Seq[Int]): Int =
+  private def feed(stream: MemoryStream[MetricEvent], query: StreamingQuery, t0: Int, sizes: Seq[Int],
+                   m: Int = period): Int =
     sizes.foldLeft(t0) { (t, sz) =>
       stream.addData(for (s <- 0L until 2L; dt <- 0 until sz)
-        yield MetricEvent(s, t + dt, TimeSeriesGen.metricPoint(s, (t + dt).toLong, period)))
+        yield MetricEvent(s, t + dt, TimeSeriesGen.metricPoint(s, (t + dt).toLong, m)))
       query.processAllAvailable()
       t + sz
     }
@@ -182,6 +186,38 @@ class OnlineSTLStreamingSpec extends SparkSpec {
     } finally query.stop()
   }
 
+  test("structured streaming holds one state record per key and reloads no version from files") {
+    import spark.implicits._
+    implicit val sqlCtx = spark.sqlContext
+    // At m=1000 a record (73 KB) outweighs what each state partition's map
+    // costs empty; at the suite's period 8 a record is 928 B and does not.
+    val m = 1000
+    val stream = MemoryStream[MetricEvent]
+    val query = OnlineSTLStreaming.decomposeStream(stream.toDS(), Seq(m))
+      .writeStream.format("memory").queryName("decomp_held").outputMode(OutputMode.Append)
+      .start()
+    try {
+      val total = feed(stream, query, 0, Seq(10, 4 * m - 5, 7, 2 * m, 10), m)
+      val got = spark.sql("SELECT * FROM decomp_held").as[DecompRow].collect().toSeq
+      for (s <- 0L until 2L) assertMatchesReference(s, got, total, m)
+      val ops = query.recentProgress.flatMap(_.stateOperators.headOption)
+      // Held state: one retained version, so about one record per key.
+      val records = (0L until 2L).map { s =>
+        val stl = new OnlineSTL(Seq(m))
+        (0 until total).foreach(t => stl.push(TimeSeriesGen.metricPoint(s, t.toLong, m)))
+        OnlineSTLStreaming.stateRowBytes(stl.state)
+      }
+      val last = ops.last
+      assert(last.numRowsTotal == 2L)
+      val perKey = last.memoryUsedBytes.toDouble / last.numRowsTotal
+      assert(perKey <= 1.2 * records.sum / records.size, s"$perKey B held per key, records of ${records.mkString(", ")} B")
+      // Traffic: every micro-batch after the first loads its base version
+      // from the one retained in memory, none from the checkpoint files.
+      val misses = ops.map(_.customMetrics.get("loadedMapCacheMissCount").longValue)
+      assert(ops.length >= 5 && misses.forall(_ == 0L), misses.toSeq)
+    } finally query.stop()
+  }
+
   test("structured streaming matches sequential across a checkpoint/restart") {
     import spark.implicits._
     implicit val sqlCtx = spark.sqlContext
@@ -193,7 +229,7 @@ class OnlineSTLStreamingSpec extends SparkSpec {
       .writeStream.option("checkpointLocation", checkpointDir.toString).foreachBatch(sink).start()
     val shuffleKey = "spark.sql.shuffle.partitions"
     val deployed = spark.conf.get(shuffleKey)
-    val (frozen, total, files) =
+    val (frozen, total, modes) =
       try {
         val first = start()
         val (frozen, mid) =
@@ -208,22 +244,69 @@ class OnlineSTLStreamingSpec extends SparkSpec {
             val total = feed(stream, second, mid, Seq(2 * period, 10, 5))
             // The state partition count is frozen in the checkpoint.
             assert(second.lastProgress.stateOperators(0).numShufflePartitions == frozen)
-            (frozen, total, Files.walk(checkpointDir).iterator.asScala.map(checkpointDir.relativize(_)).toList)
+            (frozen, total, Files.walk(checkpointDir).iterator.asScala.map { f =>
+              (checkpointDir.relativize(f), Files.isDirectory(f),
+               PosixFilePermissions.toString(Files.getPosixFilePermissions(f)))
+            }.toList)
           } finally second.stop()
         } finally spark.conf.set(shuffleKey, deployed)
       } finally Files.walk(checkpointDir).sorted(Comparator.reverseOrder()).forEach(p => Files.delete(p))
     assert(frozen == spark.sparkContext.defaultParallelism)
+    val files = modes.map(_._1)
     // JobSession's checkpoint I/O: Spark's checkpoint checksums are written,
     // Hadoop's hidden `.<name>.crc` side files are not.
     assert(files.exists(_.toString.matches("state/0/\\d+/\\d+\\.delta\\.crc")), files)
     val hidden = files.filter { f => val n = f.getFileName.toString; n.startsWith(".") && n.endsWith(".crc") }
     assert(hidden.isEmpty, s"${hidden.size} Hadoop .crc files, e.g. ${hidden.take(3)}")
+    // Mode bits as Hadoop sets them, under its umask: files rw-r--r--,
+    // directories rwxr-xr-x (JobSession's file system sets them in-process).
+    val umask = FsPermission.getUMask(spark.sparkContext.hadoopConfiguration)
+    val wanted = Map(false -> FsPermission.getFileDefault.applyUMask(umask).toString,
+                     true -> FsPermission.getDirDefault.applyUMask(umask).toString)
+    assert(wanted == Map(false -> "rw-r--r--", true -> "rwxr-xr-x"), wanted)
+    val wrongMode = modes.filter { case (f, dir, mode) => f.toString.nonEmpty && mode != wanted(dir) }
+    assert(wrongMode.isEmpty, s"${wrongMode.size} of ${modes.size} checkpoint paths, e.g. ${wrongMode.take(3)}")
     val got = rows.asScala.toSeq
     for (s <- 0L until 2L) {
       val ts = got.filter(_.seriesId == s).map(_.ts)
       assert(ts.distinct.size == ts.size, s"a ts of key $s was emitted twice")
       assertMatchesReference(s, got, total)
     }
+  }
+
+  test("a restart on a damaged state checkpoint fails and emits no row from it") {
+    import spark.implicits._
+    implicit val sqlCtx = spark.sqlContext
+    val checkpointDir = Files.createTempDirectory("onlinestl-ckpt")
+    val stream = MemoryStream[MetricEvent]
+    val rows = new java.util.concurrent.ConcurrentLinkedQueue[DecompRow]
+    val sink: (Dataset[DecompRow], Long) => Unit = (df, _) => { df.collect().foreach(rows.add); () }
+    def start() = OnlineSTLStreaming.decomposeStream(stream.toDS(), Seq(period))
+      .writeStream.option("checkpointLocation", checkpointDir.toString).foreachBatch(sink).start()
+    try {
+      val first = start()
+      val mid = try feed(stream, first, 0, Seq(4 * period + 3, 5)) finally first.stop()
+      // The newest version's largest delta file holds a key's state: flip one of its bytes.
+      val delta = "state/0/\\d+/(\\d+)\\.delta".r
+      val deltas = Files.walk(checkpointDir).iterator.asScala.toList.flatMap { f =>
+        checkpointDir.relativize(f).toString match {
+          case delta(v) => Some((v.toLong, Files.size(f), f))
+          case _ => None
+        }
+      }
+      val damaged = deltas.maxBy { case (v, size, _) => (v, size) }._3
+      val bytes = Files.readAllBytes(damaged)
+      bytes(bytes.length / 2) = (bytes(bytes.length / 2) ^ 1).toByte
+      Files.write(damaged, bytes)
+      rows.clear()
+      val second = start()
+      try {
+        val e = intercept[StreamingQueryException](feed(stream, second, mid, Seq(5)))
+        val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+        assert(messages.exists(m => m != null && m.contains("CHECKPOINT_FILE_CHECKSUM_VERIFICATION_FAILED")), e)
+      } finally second.stop()
+      assert(rows.isEmpty, s"${rows.size} rows emitted after the restart")
+    } finally Files.walk(checkpointDir).sorted(Comparator.reverseOrder()).forEach(p => Files.delete(p))
   }
 
   test("a restart on a checkpoint with other periods fails instead of keeping the old ones") {
