@@ -1,5 +1,6 @@
 package repro.jobs
 
+import org.apache.hadoop.fs.RawLocalFileSystem
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.streaming.checkpointing.FileSystemBasedCheckpointFileManager
 
@@ -15,19 +16,17 @@ import org.apache.spark.sql.execution.streaming.checkpointing.FileSystemBasedChe
   *
   * It also fixes how stream checkpoints reach the disk. Without Hadoop's
   * native library, the local file system forks `chmod` for every file it
-  * creates and every directory it makes, and `readlink` for each side of a
-  * `FileContext` rename: 80 processes per micro-batch at three state
-  * partitions, none with the two settings below.
+  * creates and `readlink` for each side of a `FileContext` rename: 80
+  * processes per micro-batch at three state partitions, 8 with the two
+  * settings below.
   * - `FileSystemBasedCheckpointFileManager` commits a checkpoint file by
   *   `FileSystem.rename`: on a local disk one `rename(2)`, still atomic. On
   *   HDFS it is Spark's documented `FileSystem` fallback: a non-overwrite
   *   rename still fails if the target exists, and an overwrite of an
   *   existing delta file is logged and skipped.
-  * - [[NioLocalFileSystem]] for `file:` is Hadoop's `RawLocalFileSystem`,
-  *   which writes no hidden `.<name>.crc` beside each file, with mode bits
-  *   set through `java.nio` instead of a `chmod` process. Checkpoint files
-  *   are then verified only by Spark's own checkpoint checksum
-  *   (`<n>.delta.crc` etc.), which stays on.
+  * - `RawLocalFileSystem` for `file:` writes no hidden `.<name>.crc` beside
+  *   each file. Checkpoint files are then verified only by Spark's own
+  *   checkpoint checksum (`<n>.delta.crc` etc.), which stays on.
   * Both go on the builder: Hadoop caches one `FileSystem` per scheme, and a
   * setting made after the context exists does not reach the cached one.
   *
@@ -45,7 +44,7 @@ object JobSession {
       .appName(appName)
       .config("spark.sql.streaming.checkpointFileManagerClass",
         classOf[FileSystemBasedCheckpointFileManager].getName)
-      .config("spark.hadoop.fs.file.impl", classOf[NioLocalFileSystem].getName)
+      .config("spark.hadoop.fs.file.impl", classOf[RawLocalFileSystem].getName)
       .config("spark.sql.streaming.maxBatchesToRetainInMemory", 1L)
     val withMaster =
       if (sys.props.contains("spark.master")) builder

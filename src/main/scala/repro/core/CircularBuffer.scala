@@ -5,8 +5,7 @@ package repro.core
   *
   * OnlineSTL needs (a) O(1) push and `fromEnd` reads, and, on the paper's
   * kernel only ([[TrendFilter]]), (b) a dot product of a kernel against the
-  * *last w* elements; both work on the ring without copying. Its state
-  * record copies each ring out and back in bulk ([[copyTo]], [[pushAll]]).
+  * *last w* elements; both work on the ring without copying.
   */
 final class CircularBuffer(val capacity: Int) extends Serializable {
   require(capacity > 0, s"capacity must be positive, got $capacity")
@@ -71,41 +70,17 @@ final class CircularBuffer(val capacity: Int) extends Serializable {
   /** Contents in time order (oldest first). O(n) — not for the hot loop. */
   def toArray: Array[Double] = {
     val out = new Array[Double](filled)
-    copyTo(out, 0)
+    var k = 0
+    while (k < filled) {
+      out(filled - 1 - k) = fromEnd(k)
+      k += 1
+    }
     out
   }
 
-  /** Write the contents in time order (oldest first) to `dst` from index `at`:
-    * at most two `System.arraycopy`s.
-    */
-  def copyTo(dst: Array[Double], at: Int): Unit = {
-    val oldest = writePos - filled // negative once the ring has wrapped
-    if (oldest >= 0) System.arraycopy(data, oldest, dst, at, filled)
-    else {
-      System.arraycopy(data, oldest + capacity, dst, at, -oldest)
-      System.arraycopy(data, 0, dst, at - oldest, writePos)
-    }
-  }
-
   /** Bulk-load in time order, keeping only the last `capacity` values. */
-  def pushAll(xs: Array[Double]): Unit = pushAll(xs, 0, xs.length)
-
-  /** [[push]] each of `xs(from until from + len)` in order, by at most two
-    * `System.arraycopy`s.
-    */
-  def pushAll(xs: Array[Double], from: Int, len: Int): Unit = {
-    require(from >= 0 && len >= 0 && from <= xs.length - len,
-      s"range [$from, ${from + len}) out of bounds (length ${xs.length})")
-    if (len >= capacity) {
-      System.arraycopy(xs, from + len - capacity, data, 0, capacity)
-      writePos = 0
-      filled = capacity
-    } else {
-      val head = math.min(len, capacity - writePos)
-      System.arraycopy(xs, from, data, writePos, head)
-      System.arraycopy(xs, from + head, data, 0, len - head)
-      writePos = (writePos + len) % capacity
-      filled = math.min(capacity, filled + len)
-    }
+  def pushAll(xs: Array[Double]): Unit = {
+    var i = 0
+    while (i < xs.length) { push(xs(i)); i += 1 }
   }
 }

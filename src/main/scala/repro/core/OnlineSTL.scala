@@ -177,15 +177,8 @@ final class OnlineSTL(periods: Seq[Int], kernel: TrendKernel = SlidingTricube) e
   }
 
   /** A copy of the state (§5.1) as one record; [[OnlineSTL.restore]] inverts it. */
-  def state: OnlineSTL.State = {
-    val rs = rings
-    val verbatim = ET :+ mom
-    val values = new Array[Double](rs.map(_.size).sum + verbatim.map(_.length).sum)
-    var at = 0
-    for (r <- rs) { r.copyTo(values, at); at += r.size }
-    for (a <- verbatim) { System.arraycopy(a, 0, values, at, a.length); at += a.length }
-    OnlineSTL.State(OnlineSTL.StateVersion, ps.clone(), seen, values)
-  }
+  def state: OnlineSTL.State = OnlineSTL.State(OnlineSTL.StateVersion, ps.clone(), seen,
+    Array.concat((rings.map(_.toArray) ++ ET :+ mom).toIndexedSeq: _*))
 
   private def rings = A +: K :+ D // a def: java serialization would keep a field
 
@@ -193,16 +186,14 @@ final class OnlineSTL(periods: Seq[Int], kernel: TrendKernel = SlidingTricube) e
     require(st.version == 1 || st.version == OnlineSTL.StateVersion, s"unknown state version ${st.version}")
     require(st.periods.sameElements(ps),
       s"state has periods ${st.periods.mkString(", ")}, not ${ps.mkString(", ")}")
-    val rs = rings
-    val held = rs.map(r => if (st.seen >= 4L * m) r.capacity else if (r eq A) st.seen.toInt else 0)
+    val held = rings.map(r => if (st.seen >= 4L * m) r.capacity else if (r eq A) st.seen.toInt else 0)
     val es = if (st.version == 1) ps.sum else 0 // version 1 also wrote each E_{p,S}
     val n = held.sum + es + ps.sum + mom.length
     require(st.seen >= 0 && st.values.length == n,
       s"state holds ${st.values.length} values for seen = ${st.seen}, not $n")
-    var at = 0
-    for (i <- rs.indices) { rs(i).pushAll(st.values, at, held(i)); at += held(i) }
-    at += es
-    for (a <- ET :+ mom) { System.arraycopy(st.values, at, a, 0, a.length); at += a.length }
+    val it = st.values.patch(held.sum, Nil, es).iterator
+    rings.zip(held).foreach { case (r, len) => r.pushAll(Array.fill(len)(it.next())) }
+    (ET :+ mom).foreach(a => a.indices.foreach(a(_) = it.next()))
     seen = st.seen
     this
   }

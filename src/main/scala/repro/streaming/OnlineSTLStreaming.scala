@@ -1,14 +1,13 @@
 package repro.streaming
 
 import scala.collection.AbstractIterator
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import org.apache.spark.sql.{Dataset, KeyValueGroupedDataset, SparkSession}
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.catalyst.expressions.UnsafeRow
 import org.apache.spark.sql.catalyst.expressions.objects.{Invoke, UnresolvedMapObjects}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{DecompPoint, OnlineSTL}
+import repro.core.OnlineSTL
 import repro.data.TimeSeriesGen
 
 /** A single metric observation on the stream: one value of one time series. */
@@ -78,26 +77,21 @@ object OnlineSTLStreaming {
   private[repro] def processKey(key: Long, chunks: Iterator[KeyEvents],
                                 stl: OnlineSTL): Iterator[DecompRow] = {
     val (ts, xs) = inTsOrder(chunks.toVector)
-    // A loop over the points each push emits, not `Iterator.range(…).flatMap`,
-    // which boxes every index, nor an iterator per push.
+    // p.index counts points within the series; init back-fill points map
+    // onto the earliest timestamps of this key.
+    def rows(i: Int): Iterator[DecompRow] = stl.push(xs(i)).map { p =>
+      DecompRow(key, ts(i) - (stl.pointsSeen - 1 - p.index), p.value, p.trend, p.seasonals.toSeq,
+                p.seasonalSum, p.residual)
+    }.iterator
+    // A loop, not `Iterator.range(…).flatMap(rows)`, which boxes every index.
     new AbstractIterator[DecompRow] {
-      private var i = 0                          // next event to push
-      private var out: Seq[DecompPoint] = Nil   // what pushing event i − 1 emitted
-      private var j = 0                          // next of them to return
+      private var i = 0
+      private var pending: Iterator[DecompRow] = Iterator.empty
       def hasNext: Boolean = {
-        while (j == out.length && i < ts.length) { out = stl.push(xs(i)); j = 0; i += 1 }
-        j < out.length
+        while (!pending.hasNext && i < ts.length) { pending = rows(i); i += 1 }
+        pending.hasNext
       }
-      // p.index counts points within the series; init back-fill points map
-      // onto the earliest timestamps of this key. Each point's seasonals
-      // array is its own, so the row wraps it without a copy.
-      def next(): DecompRow = {
-        if (!hasNext) Iterator.empty.next()
-        val p = out(j)
-        j += 1
-        DecompRow(key, ts(i - 1) - (stl.pointsSeen - 1 - p.index), p.value, p.trend,
-                  ArraySeq.unsafeWrapArray(p.seasonals), p.seasonalSum, p.residual)
-      }
+      def next(): DecompRow = if (hasNext) pending.next() else Iterator.empty.next()
     }
   }
 

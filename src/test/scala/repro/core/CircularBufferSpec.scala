@@ -1,6 +1,5 @@
 package repro.core
 
-import org.scalacheck.{Gen, Prop, Test => Check}
 import repro.SparkSpec
 import scala.util.Random
 
@@ -64,46 +63,6 @@ class CircularBufferSpec extends SparkSpec {
     val b = new CircularBuffer(3)
     b.pushAll(Array(1, 2, 3, 4, 5, 6).map(_.toDouble))
     assert(b.toArray.toSeq == Seq(4.0, 5.0, 6.0))
-  }
-
-  test("property: copyTo and pushAll(xs, from, len) equal the window and per-element push") {
-    val case_ = for {
-      cap <- Gen.choose(1, 12)
-      before <- Gen.choose(0, 30) // empty, partly filled, full or wrapped
-      from <- Gen.choose(0, 4)
-      len <- Gen.choose(0, 30)
-      at <- Gen.choose(0, 4)
-    } yield (cap, before, from, len, at)
-    val prop = Prop.forAll(case_) { case (cap, before, from, len, at) =>
-      val xs = Array.tabulate(from + len + 2)(i => i + 0.5)
-      val bulk = new CircularBuffer(cap)
-      val each = new CircularBuffer(cap)
-      for (i <- 0 until before) { bulk.push(-i); each.push(-i) }
-      val window = (0 until before).map(i => -i.toDouble).takeRight(cap)
-      val dst = Array.fill(at + window.size + 2)(Double.NaN)
-      bulk.copyTo(dst, at)
-      val copied = dst.slice(at, at + window.size).toSeq == window &&
-        (dst.take(at) ++ dst.drop(at + window.size)).forall(_.isNaN)
-      bulk.pushAll(xs, from, len)
-      for (i <- from until from + len) each.push(xs(i))
-      // both go on alike: the same window after more pushes
-      val same = (0 to cap).forall { i =>
-        val alike = bulk.size == each.size && bulk.toArray.sameElements(each.toArray) &&
-          (0 until each.size).forall(k => bulk.fromEnd(k) == each.fromEnd(k))
-        bulk.push(100.0 + i); each.push(100.0 + i)
-        alike
-      }
-      copied && same
-    }
-    val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(11L), prop)
-    assert(result.passed, result.status.toString)
-  }
-
-  test("pushAll rejects a range outside the source") {
-    val b = new CircularBuffer(3)
-    intercept[IllegalArgumentException](b.pushAll(Array(1.0, 2.0), 1, 2))
-    intercept[IllegalArgumentException](b.pushAll(Array(1.0, 2.0), -1, 1))
-    intercept[IllegalArgumentException](b.pushAll(Array(1.0, 2.0), 0, -1))
   }
 
   // randomized equivalence against a naive reference implementation

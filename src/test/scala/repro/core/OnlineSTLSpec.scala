@@ -206,29 +206,6 @@ class OnlineSTLSpec extends SparkSpec {
     rejected(ps, stateOf(new OnlineSTL(ps, TrendFilter)), "values")
   }
 
-  test("state and restore copy one record at m=1000: bytes allocated, counted per thread") {
-    val bean = java.lang.management.ManagementFactory.getThreadMXBean
-      .asInstanceOf[com.sun.management.ThreadMXBean]
-    var kept: AnyRef = null // holds each result, so no allocation can be optimized away
-    // The fewest bytes one call allocates, over calls enough to warm the JIT.
-    def allocated(f: => AnyRef): Long = (1 to 200).map { _ =>
-      val before = bean.getCurrentThreadAllocatedBytes
-      kept = f
-      bean.getCurrentThreadAllocatedBytes - before
-    }.min
-    val ps = Seq(1000)
-    val stl = new OnlineSTL(ps)
-    seasonalSeries(4 * 1000 + 7, 1000, 0.01, 1.0, 0.1, 9).foreach(stl.push)
-    val st = stl.state
-    val fresh = allocated(new OnlineSTL(ps))
-    val restored = allocated(OnlineSTL.restore(ps, st))
-    assert(restored <= 1.1 * fresh, s"restore allocated $restored B, a fresh instance $fresh B")
-    val valueBytes = 16L + 8L * st.values.length // the array header and its doubles
-    val written = allocated(stl.state)
-    assert(written <= 1.05 * valueBytes, s"state allocated $written B for $valueBytes B of values")
-    assert(kept.asInstanceOf[OnlineSTL.State].values.sameElements(st.values))
-  }
-
   test("OnlineSTL stays java-serializable after init (perfbench reads its size)") {
     val stl = new OnlineSTL(Seq(7, 28))
     seasonalSeries(4 * 28 + 3, 28, 0.01, 1.0, 0.1, 8).foreach(stl.push)

@@ -1,10 +1,8 @@
 package repro.streaming
 
 import java.nio.file.Files
-import java.nio.file.attribute.PosixFilePermissions
 import java.util.Comparator
 import scala.jdk.CollectionConverters._
-import org.apache.hadoop.fs.permission.FsPermission
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.catalyst.expressions.objects.UnresolvedMapObjects
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
@@ -229,7 +227,7 @@ class OnlineSTLStreamingSpec extends SparkSpec {
       .writeStream.option("checkpointLocation", checkpointDir.toString).foreachBatch(sink).start()
     val shuffleKey = "spark.sql.shuffle.partitions"
     val deployed = spark.conf.get(shuffleKey)
-    val (frozen, total, modes) =
+    val (frozen, total, files) =
       try {
         val first = start()
         val (frozen, mid) =
@@ -244,28 +242,16 @@ class OnlineSTLStreamingSpec extends SparkSpec {
             val total = feed(stream, second, mid, Seq(2 * period, 10, 5))
             // The state partition count is frozen in the checkpoint.
             assert(second.lastProgress.stateOperators(0).numShufflePartitions == frozen)
-            (frozen, total, Files.walk(checkpointDir).iterator.asScala.map { f =>
-              (checkpointDir.relativize(f), Files.isDirectory(f),
-               PosixFilePermissions.toString(Files.getPosixFilePermissions(f)))
-            }.toList)
+            (frozen, total, Files.walk(checkpointDir).iterator.asScala.map(checkpointDir.relativize(_)).toList)
           } finally second.stop()
         } finally spark.conf.set(shuffleKey, deployed)
       } finally Files.walk(checkpointDir).sorted(Comparator.reverseOrder()).forEach(p => Files.delete(p))
     assert(frozen == spark.sparkContext.defaultParallelism)
-    val files = modes.map(_._1)
     // JobSession's checkpoint I/O: Spark's checkpoint checksums are written,
     // Hadoop's hidden `.<name>.crc` side files are not.
     assert(files.exists(_.toString.matches("state/0/\\d+/\\d+\\.delta\\.crc")), files)
     val hidden = files.filter { f => val n = f.getFileName.toString; n.startsWith(".") && n.endsWith(".crc") }
     assert(hidden.isEmpty, s"${hidden.size} Hadoop .crc files, e.g. ${hidden.take(3)}")
-    // Mode bits as Hadoop sets them, under its umask: files rw-r--r--,
-    // directories rwxr-xr-x (JobSession's file system sets them in-process).
-    val umask = FsPermission.getUMask(spark.sparkContext.hadoopConfiguration)
-    val wanted = Map(false -> FsPermission.getFileDefault.applyUMask(umask).toString,
-                     true -> FsPermission.getDirDefault.applyUMask(umask).toString)
-    assert(wanted == Map(false -> "rw-r--r--", true -> "rwxr-xr-x"), wanted)
-    val wrongMode = modes.filter { case (f, dir, mode) => f.toString.nonEmpty && mode != wanted(dir) }
-    assert(wrongMode.isEmpty, s"${wrongMode.size} of ${modes.size} checkpoint paths, e.g. ${wrongMode.take(3)}")
     val got = rows.asScala.toSeq
     for (s <- 0L until 2L) {
       val ts = got.filter(_.seriesId == s).map(_.ts)
