@@ -1,7 +1,6 @@
 package repro.baselines
 
-import repro.core.{Decomposition, DecompPoint}
-import scala.collection.mutable.ArrayBuffer
+import repro.core.Decomposition
 
 /** Generic online counterpart of a batch algorithm (paper §7.1): for each
   * arriving point, re-run the batch decomposition on a sliding window of the
@@ -26,23 +25,27 @@ final class OnlineCounterpart(batch: Decomposer) {
     val m = periods.max
     val window = WindowFactor * m
     val warm = math.min(math.max(minPoints(periods), window), n)
-    val pts = new ArrayBuffer[DecompPoint](n)
+    val k = periods.length
+    val trend = new Array[Double](n)
+    val seas = Seq.fill(k)(new Array[Double](n))
+    val res = new Array[Double](n)
+    // point t's components are point i's of `d`
+    def put(t: Int, d: Decomposition, i: Int): Unit = {
+      trend(t) = d.trend(i); res(t) = d.residual(i)
+      var p = 0
+      while (p < k) { seas(p)(t) = d.seasonals(p)(i); p += 1 }
+    }
     // back-fill the warm-up prefix from one batch run on it
     val head = batch.decompose(xs.take(warm), periods)
-    for (i <- 0 until warm)
-      pts += DecompPoint(i, xs(i), head.trend(i),
-        Array.tabulate(periods.length)(p => head.seasonals(p)(i)), head.residual(i))
+    for (i <- 0 until warm) put(i, head, i)
     var t = warm
     while (t < n) {
       val lo = math.max(0, t + 1 - window)
       val win = java.util.Arrays.copyOfRange(xs, lo, t + 1)
-      val d = batch.decompose(win, periods)
-      val last = win.length - 1
-      pts += DecompPoint(t, xs(t), d.trend(last),
-        Array.tabulate(periods.length)(p => d.seasonals(p)(last)), d.residual(last))
+      put(t, batch.decompose(win, periods), win.length - 1)
       t += 1
     }
-    Decomposition.fromPoints(pts.toSeq, periods.length)
+    Decomposition(trend, seas, res)
   }
 
   /** Measure per-point latency: run `steps` single-point updates at the end

@@ -1,9 +1,9 @@
 package repro.exp
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.{OnlineSTL, TrendFilter, TrendKernel}
 import repro.data.TimeSeriesGen
-import repro.streaming.{DecompRow, KeyEvents, MetricEvent, OnlineSTLStreaming}
+import repro.streaming.OnlineSTLStreaming
 
 /** Table 2 — distributed-dataflow performance of OnlineSTL vs seasonality
   * (10 / 100 / 1000 / 10000). The paper runs 100K series on a 128-vCPU Flink
@@ -53,8 +53,10 @@ object Table2 {
     // for compilation (the paper likewise measures steady state). Needs to be
     // big enough that the per-point hot path reaches C2-compiled steady
     // state — a few hundred thousand points.
-    for (warmM <- Seq(10, 200))
-      decompose(OnlineSTLStreaming.syntheticEvents(spark, 100, 5000, warmM), warmM, kernel).count()
+    for (warmM <- Seq(10, 200)) {
+      val warm = OnlineSTLStreaming.syntheticEvents(spark, 100, 5000, warmM)
+      OnlineSTLStreaming.decomposeBatch(warm, Seq(warmM), kernel).count()
+    }
     seasonalities.map { m =>
       val (nSeries, pts) = config(m)
       val events = OnlineSTLStreaming.syntheticEvents(spark, nSeries, pts, m)
@@ -65,7 +67,7 @@ object Table2 {
         // bottleneck (paper §6, "rate of ingestion set high").
         require(events.count() == total)
         val t0 = System.nanoTime()
-        val outCount = decompose(events, m, kernel).count()
+        val outCount = OnlineSTLStreaming.decomposeBatch(events, Seq(m), kernel).count()
         val sec = (System.nanoTime() - t0) / 1e9
         require(outCount == total, s"expected $total decomposed rows, got $outCount")
         val rt = Runtime.getRuntime
@@ -73,14 +75,6 @@ object Table2 {
         Row(m, kernel, nSeries, pts, total, sec, total / sec / cores, total / sec,
             keyStateBytes(m, pts, kernel), heapGB)
       } finally events.unpersist()
-    }
-  }
-
-  /** `OnlineSTLStreaming.decomposeBatch`'s dataflow with the trend filters chosen. */
-  private def decompose(events: Dataset[MetricEvent], m: Int, kernel: TrendKernel): Dataset[DecompRow] = {
-    import events.sparkSession.implicits._
-    OnlineSTLStreaming.byKey(events).flatMapGroups { (key: Long, chunks: Iterator[KeyEvents]) =>
-      OnlineSTLStreaming.processKey(key, chunks, new OnlineSTL(Seq(m), kernel))
     }
   }
 

@@ -1,13 +1,13 @@
 package repro.streaming
 
-import scala.collection.AbstractIterator
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import org.apache.spark.sql.{Dataset, KeyValueGroupedDataset, SparkSession}
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.catalyst.expressions.UnsafeRow
 import org.apache.spark.sql.catalyst.expressions.objects.{Invoke, UnresolvedMapObjects}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.OnlineSTL
+import repro.core.{OnlineSTL, SlidingTricube, TrendKernel}
 import repro.data.TimeSeriesGen
 
 /** A single metric observation on the stream: one value of one time series. */
@@ -73,26 +73,31 @@ object OnlineSTLStreaming {
     * so events with equal `ts` keep their arrival order. The init back-fill
     * rows get timestamps counted back from the event that completes the
     * warm-up, which assumes consecutive integer `ts` (0, 1, 2, …).
+    *
+    * Eager: when it returns, every point of the key has been pushed into
+    * `stl` (so `stl.state` is final), and the iterator reads the rows held.
     */
   private[repro] def processKey(key: Long, chunks: Iterator[KeyEvents],
                                 stl: OnlineSTL): Iterator[DecompRow] = {
     val (ts, xs) = inTsOrder(chunks.toVector)
-    // p.index counts points within the series; init back-fill points map
-    // onto the earliest timestamps of this key.
-    def rows(i: Int): Iterator[DecompRow] = stl.push(xs(i)).map { p =>
-      DecompRow(key, ts(i) - (stl.pointsSeen - 1 - p.index), p.value, p.trend, p.seasonals.toSeq,
-                p.seasonalSum, p.residual)
-    }.iterator
-    // A loop, not `Iterator.range(…).flatMap(rows)`, which boxes every index.
-    new AbstractIterator[DecompRow] {
-      private var i = 0
-      private var pending: Iterator[DecompRow] = Iterator.empty
-      def hasNext: Boolean = {
-        while (!pending.hasNext && i < ts.length) { pending = rows(i); i += 1 }
-        pending.hasNext
+    val rows = new mutable.ArrayBuffer[DecompRow](ts.length)
+    var i = 0
+    while (i < ts.length) {
+      val pts = stl.push(xs(i))
+      var j = 0
+      while (j < pts.length) {
+        val p = pts(j)
+        // p.index counts points within the series; init back-fill points map
+        // onto the earliest timestamps of this key. The seasonals are wrapped,
+        // not copied: OnlineSTL allocates each point's array fresh (in `update`,
+        // and per point in `initialize`) and never touches it again.
+        rows += DecompRow(key, ts(i) - (stl.pointsSeen - 1 - p.index), p.value, p.trend,
+                          ArraySeq.unsafeWrapArray(p.seasonals), p.seasonalSum, p.residual)
+        j += 1
       }
-      def next(): DecompRow = if (hasNext) pending.next() else Iterator.empty.next()
+      i += 1
     }
+    rows.iterator
   }
 
   /** The chunks' columns concatenated in arrival order, then stably sorted by `ts` unless already in order. */
@@ -166,20 +171,22 @@ object OnlineSTLStreaming {
       .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
         (key: Long, chunks: Iterator[KeyEvents], state: GroupState[OnlineSTL.State]) =>
           val stl = state.getOption.map(OnlineSTL.restore(periods, _)).getOrElse(new OnlineSTL(periods))
-          val out = processKey(key, chunks, stl).toVector
+          val out = processKey(key, chunks, stl)
           state.update(stl.state)
-          out.iterator
+          out
       }
   }
 
   /** Batch dataflow over a bounded event set — same shuffle ([[byKey]]) and
-    * per-key code path, used for throughput measurement.
+    * per-key code path, used for throughput measurement. `kernel` picks the
+    * trend filters: Table 2's paper rows pass [[repro.core.TrendFilter]].
     */
-  def decomposeBatch(events: Dataset[MetricEvent], periods: Seq[Int]): Dataset[DecompRow] = {
+  def decomposeBatch(events: Dataset[MetricEvent], periods: Seq[Int],
+                     kernel: TrendKernel = SlidingTricube): Dataset[DecompRow] = {
     val spark = events.sparkSession
     import spark.implicits._
     byKey(events).flatMapGroups { (key: Long, chunks: Iterator[KeyEvents]) =>
-      processKey(key, chunks, new OnlineSTL(periods))
+      processKey(key, chunks, new OnlineSTL(periods, kernel))
     }
   }
 

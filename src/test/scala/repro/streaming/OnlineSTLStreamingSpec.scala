@@ -9,7 +9,7 @@ import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.{OutputMode, StreamingQuery, StreamingQueryException}
 import org.scalacheck.{Gen, Prop, Test => Check}
 import repro.SparkSpec
-import repro.core.OnlineSTL
+import repro.core.{OnlineSTL, SlidingTricube, TrendFilter}
 import repro.data.TimeSeriesGen
 
 class OnlineSTLStreamingSpec extends SparkSpec {
@@ -28,8 +28,7 @@ class OnlineSTLStreamingSpec extends SparkSpec {
   }
 
   /** Key `s`'s rows, in ts order, equal the sequential reference over `n` points. */
-  private def assertMatchesReference(s: Long, rows: Seq[DecompRow], n: Int = pointsPerSeries,
-                                     m: Int = period): Unit = {
+  private def assertMatchesReference(s: Long, rows: Seq[DecompRow], n: Int, m: Int = period): Unit = {
     val got = rows.filter(_.seriesId == s).sortBy(_.ts)
     val exp = sequentialReference(s, n, m)
     assert(got.size == exp.size, s"key $s: ${got.size} rows vs ${exp.size}")
@@ -61,10 +60,18 @@ class OnlineSTLStreamingSpec extends SparkSpec {
 
   test("batch dataflow matches the sequential OnlineSTL exactly, per key") {
     val events = OnlineSTLStreaming.syntheticEvents(spark, nSeries, pointsPerSeries, period)
-    val rows = OnlineSTLStreaming.decomposeBatch(events, Seq(period)).collect()
-    val byKey = rows.groupBy(_.seriesId)
-    assert(byKey.keySet == (0L until nSeries).toSet)
-    for (s <- 0L until nSeries) assertMatchesReference(s, rows.toSeq)
+    // Both trend filters: Table 2's paper rows run this dataflow with TrendFilter.
+    for (kernel <- Seq(SlidingTricube, TrendFilter)) {
+      val rows = OnlineSTLStreaming.decomposeBatch(events, Seq(period), kernel).collect().toSeq
+      val byKey = rows.groupBy(_.seriesId)
+      assert(byKey.keySet == (0L until nSeries).toSet)
+      val exp = (0L until nSeries).flatMap { s =>
+        val stl = new OnlineSTL(Seq(period), kernel)
+        (0 until pointsPerSeries).flatMap(t => stl.push(TimeSeriesGen.metricPoint(s, t.toLong, period))).map(p =>
+          DecompRow(s, p.index, p.value, p.trend, p.seasonals.toSeq, p.seasonalSum, p.residual))
+      }
+      assert(rows.sortBy(r => (r.seriesId, r.ts)) == exp, s"kernel $kernel")
+    }
   }
 
   test("batch dataflow is partition-order independent (repartitioned input)") {
@@ -91,6 +98,23 @@ class OnlineSTLStreamingSpec extends SparkSpec {
     // input already in ts order is taken as it comes
     assert(run(shuffled.sortBy(_.ts)) == expected)
     assert(expected.map(_.value) == shuffled.sortBy(_.ts).map(_.value))
+  }
+
+  test("processKey pushes every point before it returns") {
+    // Shuffled arrival across the init boundary, and two values pack drops.
+    val events = new scala.util.Random(5).shuffle(
+      (0 until pointsPerSeries).map(t => MetricEvent(0L, t.toLong, TimeSeriesGen.metricPoint(0L, t.toLong, period))) ++
+      Seq(MetricEvent(0L, pointsPerSeries.toLong, Double.NaN), MetricEvent(0L, pointsPerSeries + 1L, Double.NegativeInfinity)))
+    val finite = events.count(e => java.lang.Double.isFinite(e.value))
+    val stl = new OnlineSTL(Seq(period))
+    val rows = OnlineSTLStreaming.processKey(0L, OnlineSTLStreaming.pack(events.iterator), stl)
+    // Nothing of the returned iterator touched yet.
+    assert(stl.pointsSeen == finite)
+    val pushed = stl.state
+    assert(rows.size == finite)
+    val drained = stl.state
+    assert(pushed.version == drained.version && pushed.periods.sameElements(drained.periods))
+    assert(pushed.seen == drained.seen && pushed.values.sameElements(drained.values))
   }
 
   test("property: processKey over any packing of a key's events equals it over the events in ts order") {
