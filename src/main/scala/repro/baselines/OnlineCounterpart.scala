@@ -25,15 +25,12 @@ final class OnlineCounterpart(batch: Decomposer) {
     val m = periods.max
     val window = WindowFactor * m
     val warm = math.min(math.max(minPoints(periods), window), n)
-    val k = periods.length
-    val trend = new Array[Double](n)
-    val seas = Seq.fill(k)(new Array[Double](n))
-    val res = new Array[Double](n)
+    val (trend, res) = (new Array[Double](n), new Array[Double](n))
+    val seas = Seq.fill(periods.length)(new Array[Double](n))
     // point t's components are point i's of `d`
     def put(t: Int, d: Decomposition, i: Int): Unit = {
       trend(t) = d.trend(i); res(t) = d.residual(i)
-      var p = 0
-      while (p < k) { seas(p)(t) = d.seasonals(p)(i); p += 1 }
+      for ((s, ds) <- seas.zip(d.seasonals)) s(t) = ds(i)
     }
     // back-fill the warm-up prefix from one batch run on it
     val head = batch.decompose(xs.take(warm), periods)

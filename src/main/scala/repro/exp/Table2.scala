@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core.{OnlineSTL, TrendFilter, TrendKernel}
 import repro.data.TimeSeriesGen
-import repro.streaming.OnlineSTLStreaming
+import repro.streaming.OnlineSTLStreaming.{decomposeBatch, stateRowBytes, syntheticEvents}
 
 /** Table 2 — distributed-dataflow performance of OnlineSTL vs seasonality
   * (10 / 100 / 1000 / 10000). The paper runs 100K series on a 128-vCPU Flink
@@ -53,13 +53,11 @@ object Table2 {
     // for compilation (the paper likewise measures steady state). Needs to be
     // big enough that the per-point hot path reaches C2-compiled steady
     // state — a few hundred thousand points.
-    for (warmM <- Seq(10, 200)) {
-      val warm = OnlineSTLStreaming.syntheticEvents(spark, 100, 5000, warmM)
-      OnlineSTLStreaming.decomposeBatch(warm, Seq(warmM), kernel).count()
-    }
+    for (warmM <- Seq(10, 200))
+      decomposeBatch(syntheticEvents(spark, 100, 5000, warmM), Seq(warmM), kernel).count()
     seasonalities.map { m =>
       val (nSeries, pts) = config(m)
-      val events = OnlineSTLStreaming.syntheticEvents(spark, nSeries, pts, m)
+      val events = syntheticEvents(spark, nSeries, pts, m)
         .repartition(cores).persist()
       val total = nSeries.toLong * pts
       try {
@@ -67,7 +65,7 @@ object Table2 {
         // bottleneck (paper §6, "rate of ingestion set high").
         require(events.count() == total)
         val t0 = System.nanoTime()
-        val outCount = OnlineSTLStreaming.decomposeBatch(events, Seq(m), kernel).count()
+        val outCount = decomposeBatch(events, Seq(m), kernel).count()
         val sec = (System.nanoTime() - t0) / 1e9
         require(outCount == total, s"expected $total decomposed rows, got $outCount")
         val rt = Runtime.getRuntime
@@ -84,7 +82,7 @@ object Table2 {
   private def keyStateBytes(m: Int, points: Int, kernel: TrendKernel): Int = {
     val stl = new OnlineSTL(Seq(m), kernel)
     (0 until points).foreach(t => stl.push(TimeSeriesGen.metricPoint(0L, t.toLong, m)))
-    OnlineSTLStreaming.stateRowBytes(stl.state)
+    stateRowBytes(stl.state)
   }
 
   /** One line per row; sliding-filter rows are marked as beyond the paper

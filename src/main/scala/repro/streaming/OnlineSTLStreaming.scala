@@ -88,9 +88,9 @@ object OnlineSTLStreaming {
       while (j < pts.length) {
         val p = pts(j)
         // p.index counts points within the series; init back-fill points map
-        // onto the earliest timestamps of this key. The seasonals are wrapped,
-        // not copied: OnlineSTL allocates each point's array fresh (in `update`,
-        // and per point in `initialize`) and never touches it again.
+        // onto the earliest timestamps of this key. No seasonals copy: OnlineSTL
+        // allocates each point's array fresh (`update`, and per point in
+        // `initialize`) and never touches it again.
         rows += DecompRow(key, ts(i) - (stl.pointsSeen - 1 - p.index), p.value, p.trend,
                           ArraySeq.unsafeWrapArray(p.seasonals), p.seasonalSum, p.residual)
         j += 1
